@@ -16,31 +16,40 @@ const char* to_string(FillPolicy policy) {
   return "?";
 }
 
-std::vector<unsigned> scan_order(unsigned distance, FillPolicy policy,
-                                 util::Xoshiro256* rng) {
+namespace {
+
+/// Every bit-reversal order, distance d at [d - 1, 2d - 1).
+constexpr auto kBitReversalOrders = [] {
+  std::array<unsigned, 2 * kMaxDistance - 1> orders{};
+  for (unsigned d = 1; d <= kMaxDistance; d *= 2)
+    for (unsigned j = 0; j < d; ++j)
+      orders[d - 1 + j] = reverse_bits(j, log2_pow2(d));
+  return orders;
+}();
+
+}  // namespace
+
+std::span<const unsigned> scan_order(unsigned distance, FillPolicy policy,
+                                     util::Xoshiro256* rng, ScanBuffer& buf) {
   assert(is_pow2(distance) && distance <= kMaxDistance);
-  const unsigned bits = log2_pow2(distance);
-  std::vector<unsigned> order(distance);
+  const auto order = std::span<unsigned>(buf).first(distance);
   switch (policy) {
     case FillPolicy::kBitReversal:
-      for (unsigned j = 0; j < distance; ++j)
-        order[j] = reverse_bits(j, bits);
-      break;
+      return std::span<const unsigned>(kBitReversalOrders)
+          .subspan(distance - 1, distance);
     case FillPolicy::kSequential:
       std::iota(order.begin(), order.end(), 0u);
-      break;
-    case FillPolicy::kRandom: {
+      return order;
+    case FillPolicy::kRandom:
       std::iota(order.begin(), order.end(), 0u);
       assert(rng != nullptr);
       for (unsigned j = distance; j > 1; --j)
         std::swap(order[j - 1], order[rng->below(j)]);
-      break;
-    }
+      return order;
     case FillPolicy::kScattered:
-      order.clear();
       break;
   }
-  return order;
+  return {};
 }
 
 std::optional<EntrySet> find_free_set(const iba::ArbTable& table,
@@ -51,7 +60,8 @@ std::optional<EntrySet> find_free_set(const iba::ArbTable& table,
     // No spaced structure; the caller should use find_scattered instead.
     return std::nullopt;
   }
-  for (const unsigned j : scan_order(distance, policy, rng)) {
+  ScanBuffer buf;
+  for (const unsigned j : scan_order(distance, policy, rng, buf)) {
     const EntrySet candidate{distance, j};
     if (set_is_free(table, candidate)) return candidate;
   }

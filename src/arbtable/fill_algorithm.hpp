@@ -9,8 +9,10 @@
 // least 64/d free entries.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "arbtable/entry_set.hpp"
@@ -31,10 +33,16 @@ enum class FillPolicy : std::uint8_t {
 
 const char* to_string(FillPolicy policy);
 
-/// Offsets of E_{i,j} candidates in the order a policy inspects them.
-/// For kScattered the concept does not apply (empty result).
-std::vector<unsigned> scan_order(unsigned distance, FillPolicy policy,
-                                 util::Xoshiro256* rng = nullptr);
+/// Room for the longest scan order (distance 64).
+using ScanBuffer = std::array<unsigned, kMaxDistance>;
+
+/// Offsets of E_{i,j} candidates in the order a policy inspects them,
+/// without allocating: bit-reversal orders are views of a static table,
+/// sequential and random orders are written into `buf`. kRandom draws from
+/// `rng` (one Fisher-Yates shuffle per call). For kScattered the concept
+/// does not apply (empty result).
+std::span<const unsigned> scan_order(unsigned distance, FillPolicy policy,
+                                     util::Xoshiro256* rng, ScanBuffer& buf);
 
 /// Finds the first free set of the given distance under `policy`.
 /// `rng` is only consulted by kRandom. Returns std::nullopt when no free set

@@ -103,6 +103,11 @@ class TableManager {
     return sequences_.at(handle);
   }
 
+  /// True when `handle` names a live sequence (a valid release() target).
+  bool live_handle(SeqHandle handle) const noexcept {
+    return handle < sequences_.size() && sequences_[handle].live;
+  }
+
   /// Audits internal consistency: the high table's weights must equal the
   /// sum over live sequences, positions must not overlap, per-entry weights
   /// must respect the 255 cap, spaced sequences must match their E_{i,j}.

@@ -1,5 +1,7 @@
 #include "control/snapshot.hpp"
 
+#include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -108,21 +110,8 @@ iba::Cycle load_payload(util::BinReader& r, std::uint64_t run_seed,
   return snap_time;
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> seal_envelope(
-    const std::vector<std::uint8_t>& payload) {
-  util::BinWriter w;
-  w.put_u64(kSnapshotMagic);
-  w.put_u32(kSnapshotVersion);
-  w.put_u64(payload.size());
-  w.put_u32(iba::icrc(payload));
-  auto blob = std::move(w).take();
-  blob.insert(blob.end(), payload.begin(), payload.end());
-  return blob;
-}
-
-std::vector<std::uint8_t> open_envelope(
+/// open_envelope without the copy: a view of the payload inside `blob`.
+std::span<const std::uint8_t> envelope_payload(
     const std::vector<std::uint8_t>& blob) {
   util::BinReader r(blob);
   std::uint64_t magic = 0;
@@ -140,11 +129,31 @@ std::vector<std::uint8_t> open_envelope(
   const auto crc = r.get_u32();
   if (payload_len != r.remaining())
     throw std::runtime_error("snapshot envelope length mismatch");
-  std::vector<std::uint8_t> payload(blob.end() - static_cast<long>(payload_len),
-                                    blob.end());
+  const auto payload = std::span<const std::uint8_t>(blob).last(
+      static_cast<std::size_t>(payload_len));
   if (iba::icrc(payload) != crc)
     throw std::runtime_error("snapshot CRC mismatch (damaged or truncated)");
   return payload;
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> seal_envelope(
+    const std::vector<std::uint8_t>& payload) {
+  util::BinWriter w;
+  w.put_u64(kSnapshotMagic);
+  w.put_u32(kSnapshotVersion);
+  w.put_u64(payload.size());
+  w.put_u32(iba::icrc(payload));
+  auto blob = std::move(w).take();
+  blob.insert(blob.end(), payload.begin(), payload.end());
+  return blob;
+}
+
+std::vector<std::uint8_t> open_envelope(
+    const std::vector<std::uint8_t>& blob) {
+  const auto payload = envelope_payload(blob);
+  return {payload.begin(), payload.end()};
 }
 
 std::vector<std::uint8_t> save_world(iba::Cycle now, std::uint64_t run_seed,
@@ -155,14 +164,13 @@ std::vector<std::uint8_t> save_world(iba::Cycle now, std::uint64_t run_seed,
 }
 
 iba::Cycle peek_snapshot_time(const std::vector<std::uint8_t>& blob) {
-  const auto payload = open_envelope(blob);
-  util::BinReader r(payload);
+  util::BinReader r(envelope_payload(blob));
   return r.get_u64();
 }
 
 iba::Cycle restore_world(const std::vector<std::uint8_t>& blob,
                          std::uint64_t run_seed, const World& w) {
-  const auto payload = open_envelope(blob);
+  const auto payload = envelope_payload(blob);
   util::BinReader r(payload);
   const auto snap_time = load_payload(r, run_seed, w);
   if (w.engine != nullptr) w.engine->load_state(r);
@@ -177,8 +185,9 @@ iba::Cycle restore_world(const std::vector<std::uint8_t>& blob,
       throw std::runtime_error("post-restore audit failed: " + why);
   }
   util::BinWriter again;
+  again.reserve(payload.size());
   save_payload(again, snap_time, run_seed, w);
-  if (again.bytes() != payload)
+  if (!std::ranges::equal(again.bytes(), payload))
     throw std::runtime_error(
         "post-restore re-serialization differs from the snapshot");
   return snap_time;

@@ -77,6 +77,28 @@ class Routes {
   /// the host's own port 0 first, then one output port per switch crossed.
   std::vector<PortRef> path(iba::NodeId src_host, iba::NodeId dst_host) const;
 
+  /// Calls `visit(PortRef)` on each port of path(src_host, dst_host) in
+  /// order, without allocating. A visitor returning false stops the walk;
+  /// the result is true when every port was visited.
+  template <typename Visit>
+  bool for_each_port(iba::NodeId src_host, iba::NodeId dst_host,
+                     Visit&& visit) const {
+    assert(graph_ != nullptr);
+    if (!visit(PortRef{src_host, 0})) return false;
+    iba::NodeId at = graph_->host_uplink(src_host).node;
+    for (std::size_t walked = 1;; ++walked) {
+      const auto port = out_port(at, dst_host);
+      if (!visit(PortRef{at, port})) return false;
+      const auto peer = graph_->peer(at, port);
+      assert(peer.has_value());
+      if (peer->node == dst_host) return true;
+      assert(graph_->is_switch(peer->node));
+      at = peer->node;
+      assert(walked < graph_->node_count() && "routing loop");
+      (void)walked;
+    }
+  }
+
   /// Switches crossed between the two hosts (path length minus the host).
   /// Walks the table directly — no allocation.
   unsigned hops(iba::NodeId src_host, iba::NodeId dst_host) const;

@@ -14,6 +14,7 @@
 //    high-priority sources can starve it.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -74,6 +75,8 @@ class AdmissionControl {
   /// sharing a port with the path — CH first, then BE, then PBE, newest
   /// first — and retries. DBTS/DB connections are never shed, so a
   /// guaranteed request only fails once no sheddable capacity remains.
+  /// Each victim is found in O(path length) from a per-port index of the
+  /// live sheddable connections.
   DegradeResult request_degrading(const ConnectionRequest& req);
 
   /// Tears a connection down, freeing (and defragmenting) each hop's table.
@@ -103,6 +106,8 @@ class AdmissionControl {
   /// after any change).
   void program(sim::Simulator& sim) const;
 
+  /// The manager of a wired output port. Throws std::out_of_range naming
+  /// the node and port when the port is unwired or does not exist.
   const arbtable::TableManager& port_manager(iba::NodeId node,
                                              iba::PortIndex port) const;
 
@@ -130,7 +135,10 @@ class AdmissionControl {
   /// over the same graph, routes, catalogue and Config. Existing connection
   /// records are discarded. Does NOT program any simulator — callers run
   /// configure_fabric/program afterwards. Throws std::runtime_error on
-  /// mismatched topology or config fingerprints.
+  /// mismatched topology or config fingerprints, on port-manager keys that
+  /// are not strictly ascending wired ports, on hops naming an unwired port
+  /// or (high table) a dead sequence handle, and on connection ids at or
+  /// above the saved next id.
   void load_state(util::BinReader& r);
 
   /// Consistency audit over every port manager (tests).
@@ -144,19 +152,61 @@ class AdmissionControl {
 
   /// The churn-service audit: audit_tables plus the Theorem-1 free-set
   /// optimality check (TableManager::audit_free_set_optimality) on every
-  /// port. Run after every restore and every batch of churn.
+  /// port, plus a cross-check of the shedding index against the live
+  /// connections. Run after every restore and every batch of churn.
   bool audit_full(std::string* why = nullptr) const;
 
  private:
-  arbtable::TableManager& manager_for(const network::PortRef& port);
+  /// Lets tests corrupt the derived shedding index to exercise audit_full.
+  friend struct ShedIndexTestAccess;
+
+  /// Sheddable classes in shedding order: CH, BE, PBE.
+  static constexpr std::size_t kShedRanks = 3;
+  static constexpr std::uint32_t kUnwired = ~std::uint32_t{0};
+
+  /// Everything admission keeps for one wired output port.
+  struct PortState {
+    network::PortRef port;
+    arbtable::TableManager manager;
+    /// Live sheddable connections with a hop on this port, one ascending id
+    /// list per shed rank. Derived from connections_, never serialized.
+    std::array<std::vector<ConnectionId>, kShedRanks> sheddable;
+  };
+
+  /// Index into ports_ of (node, port), or kUnwired.
+  std::uint32_t port_index(iba::NodeId node, unsigned port) const noexcept;
+  /// State of a port the fabric wires (unchecked: callers pass path ports
+  /// or validated hops).
+  PortState& state_at(const network::PortRef& port) {
+    return ports_[port_index(port.node, port.port)];
+  }
+  const PortState& state_at(const network::PortRef& port) const {
+    return ports_[port_index(port.node, port.port)];
+  }
+  /// Records the placed attempt_ as a live connection and indexes it.
+  ConnectionId commit(const ConnectionRequest& req, const SlProfile& profile,
+                      iba::Cycle deadline);
+  void release_hops(const std::vector<HopReservation>& hops);
+  void index_sheddable(const Connection& conn);
+  void unindex_sheddable(const Connection& conn);
+  std::optional<ConnectionId> shedding_victim(
+      const ConnectionRequest& req) const;
+  bool audit_shedding_index(std::string* why) const;
 
   const network::FabricGraph& graph_;
   const network::Routes& routes_;
   std::vector<SlProfile> catalogue_;
   Config cfg_;
 
-  /// Key: node * 256 + port.
-  std::map<std::uint64_t, arbtable::TableManager> managers_;
+  /// Wired output ports in (node, port) order: the save/program order.
+  std::vector<PortState> ports_;
+  /// node -> its first slot in port_slots_ (node_count + 1 entries).
+  std::vector<std::uint32_t> node_first_slot_;
+  /// (node, port) slot -> index into ports_, or kUnwired.
+  std::vector<std::uint32_t> port_slots_;
+  /// Hops of the request being placed; copied into the Connection on
+  /// success so a refusal allocates nothing.
+  std::vector<HopReservation> attempt_;
   std::map<ConnectionId, Connection> connections_;
   ConnectionId next_id_ = 1;
   std::uint64_t accepted_ = 0;

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "iba/packet.hpp"
@@ -28,8 +29,8 @@ class VlFifo {
     capacity_bytes_ = capacity_bytes;
   }
 
-  bool empty() const noexcept { return packets_.empty(); }
-  std::size_t size() const noexcept { return packets_.size(); }
+  bool empty() const noexcept { return !packets_ || packets_->empty(); }
+  std::size_t size() const noexcept { return packets_ ? packets_->size() : 0; }
   std::uint32_t used_bytes() const noexcept { return used_bytes_; }
   std::uint32_t capacity_bytes() const noexcept { return capacity_bytes_; }
 
@@ -43,16 +44,17 @@ class VlFifo {
 
   void push(iba::Packet p) {
     used_bytes_ += p.wire_bytes();
-    packets_.push_back(std::move(p));
+    if (!packets_) packets_.emplace();
+    packets_->push_back(std::move(p));
     if (used_bytes_ > peak_bytes_) peak_bytes_ = used_bytes_;
-    if (packets_.size() > peak_packets_) peak_packets_ = packets_.size();
+    if (packets_->size() > peak_packets_) peak_packets_ = packets_->size();
   }
 
-  const iba::Packet& front() const { return packets_.front(); }
+  const iba::Packet& front() const { return packets_->front(); }
 
   iba::Packet pop() {
-    iba::Packet p = std::move(packets_.front());
-    packets_.pop_front();
+    iba::Packet p = std::move(packets_->front());
+    packets_->pop_front();
     used_bytes_ -= p.wire_bytes();
     return p;
   }
@@ -63,8 +65,9 @@ class VlFifo {
   /// starve on a VL whose arbitration weight moved away with the route.
   std::vector<iba::Packet> extract_connection(std::uint32_t conn) {
     std::vector<iba::Packet> out;
+    if (!packets_) return out;
     std::deque<iba::Packet> keep;
-    for (auto& p : packets_) {
+    for (auto& p : *packets_) {
       if (p.connection == conn) {
         used_bytes_ -= p.wire_bytes();
         out.push_back(std::move(p));
@@ -72,12 +75,14 @@ class VlFifo {
         keep.push_back(std::move(p));
       }
     }
-    packets_.swap(keep);
+    packets_->swap(keep);
     return out;
   }
 
  private:
-  std::deque<iba::Packet> packets_;
+  /// Created by the first push: an empty std::deque still allocates, and
+  /// most (port, VL) FIFOs of a fabric never hold a packet.
+  std::optional<std::deque<iba::Packet>> packets_;
   std::uint32_t used_bytes_ = 0;
   std::uint32_t capacity_bytes_ = kUnbounded;
   std::uint32_t peak_bytes_ = 0;    ///< High-water mark (telemetry).

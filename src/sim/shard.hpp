@@ -215,7 +215,7 @@ struct ShardCtx {
 
 /// Current worker's shard context; null on the sequential path, between
 /// windows, and on the orchestrating thread.
-extern thread_local ShardCtx* t_shard;
+extern constinit thread_local ShardCtx* t_shard;
 
 class ShardEngine {
  public:

@@ -46,6 +46,8 @@ class BinWriter {
     bytes_.insert(bytes_.end(), s.begin(), s.end());
   }
 
+  void reserve(std::size_t n) { bytes_.reserve(n); }
+
   const std::vector<std::uint8_t>& bytes() const noexcept { return bytes_; }
   std::vector<std::uint8_t> take() && { return std::move(bytes_); }
   std::size_t size() const noexcept { return bytes_.size(); }

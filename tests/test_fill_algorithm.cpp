@@ -12,28 +12,59 @@ void occupy(iba::ArbTable& table, const EntrySet& set) {
   for (const auto p : set.positions()) table[p] = iba::ArbTableEntry{0, 1};
 }
 
+std::vector<unsigned> order_of(unsigned distance, FillPolicy policy,
+                               util::Xoshiro256* rng = nullptr) {
+  ScanBuffer buf;
+  const auto order = scan_order(distance, policy, rng, buf);
+  return {order.begin(), order.end()};
+}
+
 TEST(ScanOrder, BitReversalMatchesPaper) {
-  const auto order = scan_order(8, FillPolicy::kBitReversal);
+  const auto order = order_of(8, FillPolicy::kBitReversal);
   const std::vector<unsigned> expected{0, 4, 2, 6, 1, 5, 3, 7};
   EXPECT_EQ(order, expected);
 }
 
+TEST(ScanOrder, BitReversalTableMatchesReverseBits) {
+  for (unsigned d = 1; d <= kMaxDistance; d *= 2) {
+    const auto order = order_of(d, FillPolicy::kBitReversal);
+    ASSERT_EQ(order.size(), d);
+    for (unsigned j = 0; j < d; ++j)
+      EXPECT_EQ(order[j], reverse_bits(j, log2_pow2(d))) << d << " " << j;
+  }
+}
+
 TEST(ScanOrder, SequentialIsIota) {
-  const auto order = scan_order(4, FillPolicy::kSequential);
+  const auto order = order_of(4, FillPolicy::kSequential);
   const std::vector<unsigned> expected{0, 1, 2, 3};
   EXPECT_EQ(order, expected);
 }
 
 TEST(ScanOrder, RandomIsAPermutation) {
   util::Xoshiro256 rng(5);
-  const auto order = scan_order(16, FillPolicy::kRandom, &rng);
+  const auto order = order_of(16, FillPolicy::kRandom, &rng);
   std::set<unsigned> seen(order.begin(), order.end());
   EXPECT_EQ(seen.size(), 16u);
   EXPECT_EQ(*seen.rbegin(), 15u);
 }
 
+TEST(ScanOrder, RandomDrawsOneFisherYatesShufflePerCall) {
+  // The shuffle the order has always used: kRandom tables replay only if
+  // each scan consumes the RNG exactly like this.
+  util::Xoshiro256 rng(9);
+  util::Xoshiro256 shadow(9);
+  for (const unsigned d : {2u, 16u, 64u, 8u}) {
+    std::vector<unsigned> expected(d);
+    for (unsigned j = 0; j < d; ++j) expected[j] = j;
+    for (unsigned j = d; j > 1; --j)
+      std::swap(expected[j - 1], expected[shadow.below(j)]);
+    EXPECT_EQ(order_of(d, FillPolicy::kRandom, &rng), expected);
+  }
+  EXPECT_EQ(rng.state(), shadow.state());
+}
+
 TEST(ScanOrder, ScatteredHasNoOrder) {
-  EXPECT_TRUE(scan_order(8, FillPolicy::kScattered).empty());
+  EXPECT_TRUE(order_of(8, FillPolicy::kScattered).empty());
 }
 
 TEST(FindFreeSet, EmptyTableGivesOffsetZero) {
