@@ -23,7 +23,6 @@
 // run's report is byte-identical to the uninterrupted run's. Everything
 // mode-dependent (snapshot size, deferral counts, verification notes)
 // goes to stderr, never into the report envelope.
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -349,21 +348,6 @@ obs::Report make_report(const BenchConfig& bc,
   return report;
 }
 
-std::vector<std::uint8_t> read_blob(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open snapshot file " + path);
-  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
-                                   std::istreambuf_iterator<char>());
-}
-
-void write_blob(const std::string& path,
-                const std::vector<std::uint8_t>& blob) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write snapshot file " + path);
-  out.write(reinterpret_cast<const char*>(blob.data()),
-            static_cast<std::streamsize>(blob.size()));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -404,7 +388,7 @@ int main(int argc, char** argv) {
                           ? make_storm_plan(make_fabric(bc), bc, run_seed)
                           : faults::FaultPlan{};
     runs.push_back(run_restored(bc, run_seed, plan,
-                                read_blob(bc.restore_from)));
+                                control::read_snapshot_file(bc.restore_from)));
     std::cerr << "restored from " << bc.restore_from << " at cycle "
               << runs[0].snapshot_time << "\n";
   } else {
@@ -421,7 +405,7 @@ int main(int argc, char** argv) {
                 << ", deferrals " << r.deferrals << ", restore "
                 << (r.restore_verified ? "verified" : "skipped") << "\n";
     if (!bc.snapshot_out.empty()) {
-      write_blob(bc.snapshot_out, runs[0].blob);
+      control::write_snapshot_file(bc.snapshot_out, runs[0].blob);
       std::cerr << "snapshot written to " << bc.snapshot_out << "\n";
     }
   }

@@ -2,10 +2,13 @@
 
 #include "network/routing_engine.hpp"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace ibarb::bench {
 
@@ -81,23 +84,33 @@ std::string resolve_routing(const PaperRunConfig& cfg) {
 
 unsigned shards_from_env() {
   // IBARB_SHARDS=N reruns any bench binary on the parallel core (CI diffs
-  // sharded vs sequential output). Unset or unparsable means sequential.
+  // sharded vs sequential output). Unset or empty means sequential; any
+  // other value must be a shard count, or a CI differential leg would
+  // quietly compare the sequential core against itself.
   const char* v = std::getenv("IBARB_SHARDS");
   if (v == nullptr || *v == '\0') return 1;
   char* end = nullptr;
+  errno = 0;
   const long n = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || n < 1 || n > 64) return 1;
+  if (*v < '0' || *v > '9' || *end != '\0' || errno != 0 || n < 1 ||
+      n > 64)
+    throw std::invalid_argument(
+        std::string("IBARB_SHARDS: expected a shard count in [1, 64], got '") +
+        v + "'");
   return static_cast<unsigned>(n);
 }
 
 sim::EventQueueImpl queue_impl_from_env() {
   // IBARB_EVENT_QUEUE=heap|wheel lets CI diff the two queue implementations
-  // through an unmodified bench binary. Anything else (including unset)
-  // means the default wheel.
+  // through an unmodified bench binary. Unset or empty means the default
+  // wheel; anything else is rejected rather than read as the wheel.
   const char* v = std::getenv("IBARB_EVENT_QUEUE");
-  if (v != nullptr && std::strcmp(v, "heap") == 0)
-    return sim::EventQueueImpl::kBinaryHeap;
-  return sim::EventQueueImpl::kWheel;
+  if (v == nullptr || *v == '\0') return sim::EventQueueImpl::kWheel;
+  if (std::strcmp(v, "wheel") == 0) return sim::EventQueueImpl::kWheel;
+  if (std::strcmp(v, "heap") == 0) return sim::EventQueueImpl::kBinaryHeap;
+  throw std::invalid_argument(
+      std::string("IBARB_EVENT_QUEUE: unknown event queue '") + v +
+      "' (expected wheel|heap)");
 }
 
 PaperRun::PaperRun(PaperRunConfig c) : PaperRun(c, DeferSim{}) { run(); }

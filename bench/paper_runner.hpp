@@ -69,13 +69,15 @@ struct PaperRunConfig {
 PaperRunConfig config_from_cli(const util::Cli& cli, PaperRunConfig base = {});
 
 /// IBARB_EVENT_QUEUE=heap|wheel selects the event-queue implementation
-/// through an unmodified bench binary (CI diffs the two); anything else,
-/// including unset, means the default wheel.
+/// through an unmodified bench binary (CI diffs the two); unset or empty
+/// means the default wheel. Throws std::invalid_argument naming the value
+/// for anything else.
 sim::EventQueueImpl queue_impl_from_env();
 
 /// IBARB_SHARDS=N selects the parallel-core shard count through an
-/// unmodified bench binary (CI reruns the suite sharded); unset, empty, or
-/// unparsable means 1 (sequential).
+/// unmodified bench binary (CI reruns the suite sharded); unset or empty
+/// means 1 (sequential). Throws std::invalid_argument naming the value
+/// unless it is an integer in [1, 64].
 unsigned shards_from_env();
 
 /// The topology spec a config resolves to (flag beats IBARB_TOPO beats

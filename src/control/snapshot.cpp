@@ -1,6 +1,14 @@
 #include "control/snapshot.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -191,6 +199,42 @@ iba::Cycle restore_world(const std::vector<std::uint8_t>& blob,
     throw std::runtime_error(
         "post-restore re-serialization differs from the snapshot");
   return snap_time;
+}
+
+void write_snapshot_file(const std::string& path,
+                         const std::vector<std::uint8_t>& blob) {
+  const std::string tmp = path + ".tmp";
+  int fd = -1;
+  bool created = false;  ///< A failed open must not delete a foreign tmp.
+  const auto fail = [&](const char* step) {
+    const std::string why = std::strerror(errno);
+    if (fd >= 0) ::close(fd);
+    if (created) std::remove(tmp.c_str());
+    throw std::runtime_error("cannot write snapshot file " + path + ": " +
+                             step + " " + tmp + ": " + why);
+  };
+  fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) fail("open");
+  created = true;
+  std::size_t done = 0;
+  while (done < blob.size()) {
+    const ssize_t n = ::write(fd, blob.data() + done, blob.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) fail("write");
+    done += static_cast<std::size_t>(n);
+  }
+  if (::fsync(fd) != 0) fail("fsync");
+  const int closed = ::close(fd);
+  fd = -1;
+  if (closed != 0) fail("close");
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) fail("rename");
+}
+
+std::vector<std::uint8_t> read_snapshot_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open snapshot file " + path);
+  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
+                                   std::istreambuf_iterator<char>());
 }
 
 }  // namespace ibarb::control

@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "control/churn_engine.hpp"
@@ -72,6 +73,17 @@ std::vector<std::uint8_t> save_world(iba::Cycle now, std::uint64_t run_seed,
 /// post-restore audit, or a round-trip re-serialization mismatch.
 iba::Cycle restore_world(const std::vector<std::uint8_t>& blob,
                          std::uint64_t run_seed, const World& w);
+
+/// Writes a snapshot blob to `path` so that a failure never costs the
+/// previous file: the bytes go to `<path>.tmp`, are flushed and synced, and
+/// only then is the temporary renamed over `path` (atomic on POSIX). Throws
+/// std::runtime_error naming the path and the failing step; on failure the
+/// temporary is removed and `path` is untouched.
+void write_snapshot_file(const std::string& path,
+                         const std::vector<std::uint8_t>& blob);
+
+/// Reads a whole snapshot file. Throws std::runtime_error naming the path.
+std::vector<std::uint8_t> read_snapshot_file(const std::string& path);
 
 /// Validates the envelope and returns only the snapshot time — needed
 /// before restore_world, because the caller must first arm the fault

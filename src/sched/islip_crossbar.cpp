@@ -17,112 +17,4 @@ IslipCrossbar::IslipCrossbar(unsigned ports, unsigned iterations)
   assert(ports >= 1 && ports <= 64 && "request masks are 64-bit");
 }
 
-unsigned IslipCrossbar::match_once(CrossbarPorts& v) {
-  const unsigned n = ports_;
-
-  // Request phase: each ready input requests every output for which it has
-  // an eligible head. With several VLs routed to the same output, the
-  // input's VL round-robin pointer picks which head the request stands for.
-  bool any_request = false;
-  for (unsigned i = 0; i < n; ++i) {
-    req_[i] = 0;
-    match_of_in_[i] = -1;
-    if (!v.input_ready(static_cast<iba::PortIndex>(i))) continue;
-    const std::uint16_t occ =
-        v.input_occupancy(static_cast<iba::PortIndex>(i));
-    for (unsigned k = 0; k < iba::kMaxVirtualLanes; ++k) {
-      const auto vl = static_cast<iba::VirtualLane>(
-          (rr_vl_[i] + k) % iba::kMaxVirtualLanes);
-      if (!(occ & (1u << vl))) continue;
-      const auto out = v.head_output(static_cast<iba::PortIndex>(i), vl);
-      if (!v.output_free(out)) {
-        ++stats_.blocked_output;
-        continue;
-      }
-      if (!v.output_accepts(static_cast<iba::PortIndex>(i), vl, out)) {
-        ++stats_.blocked_space;
-        continue;
-      }
-      if (req_[i] & (std::uint64_t{1} << out)) continue;
-      req_[i] |= std::uint64_t{1} << out;
-      vl_for_[static_cast<std::size_t>(i) * n + out] = vl;
-      any_request = true;
-    }
-  }
-  if (!any_request) return 0;
-
-  std::uint64_t matched_in = 0;
-  std::uint64_t matched_out = 0;
-
-  for (unsigned it = 0; it < k_; ++it) {
-    ++stats_.iterations;
-
-    // Grant phase: every unmatched output with requests grants the
-    // requesting input nearest its grant pointer.
-    bool any_grant = false;
-    for (unsigned o = 0; o < n; ++o) {
-      grant_to_[o] = -1;
-      if (matched_out & (std::uint64_t{1} << o)) continue;
-      for (unsigned k = 0; k < n; ++k) {
-        const unsigned i = (grant_ptr_[o] + k) % n;
-        if (matched_in & (std::uint64_t{1} << i)) continue;
-        if (!(req_[i] & (std::uint64_t{1} << o))) continue;
-        grant_to_[o] = static_cast<int>(i);
-        any_grant = true;
-        break;
-      }
-    }
-    if (!any_grant) break;
-
-    // Accept phase: every unmatched input with grants accepts the granting
-    // output nearest its accept pointer. Pointers move only on
-    // first-iteration matches (the desynchronization rule).
-    unsigned new_matches = 0;
-    for (unsigned i = 0; i < n; ++i) {
-      if (matched_in & (std::uint64_t{1} << i)) continue;
-      int accepted = -1;
-      for (unsigned k = 0; k < n; ++k) {
-        const unsigned o = (accept_ptr_[i] + k) % n;
-        if (grant_to_[o] == static_cast<int>(i)) {
-          accepted = static_cast<int>(o);
-          break;
-        }
-      }
-      if (accepted < 0) continue;
-      matched_in |= std::uint64_t{1} << i;
-      matched_out |= std::uint64_t{1} << accepted;
-      match_of_in_[i] = accepted;
-      ++new_matches;
-      if (it == 0) {
-        grant_ptr_[accepted] = (i + 1) % n;
-        accept_ptr_[i] = (static_cast<unsigned>(accepted) + 1) % n;
-      }
-    }
-    if (new_matches == 0) break;
-  }
-
-  // Commit the match: start every matched transfer.
-  unsigned grants = 0;
-  for (unsigned i = 0; i < n; ++i) {
-    if (match_of_in_[i] < 0) continue;
-    const auto out = static_cast<iba::PortIndex>(match_of_in_[i]);
-    const auto vl = vl_for_[static_cast<std::size_t>(i) * n + out];
-    rr_vl_[i] =
-        static_cast<iba::VirtualLane>((vl + 1) % iba::kMaxVirtualLanes);
-    v.grant(static_cast<iba::PortIndex>(i), vl, out);
-    ++stats_.grants;
-    ++grants;
-  }
-  return grants;
-}
-
-void IslipCrossbar::schedule(CrossbarPorts& v, int /*only_input*/) {
-  // A single arrival only ever enables transfers involving the arriving
-  // input (the fabric was quiescent before it), so running the full match
-  // is both sound and simplest; unmatched requests never move pointers.
-  ++stats_.rounds;
-  while (match_once(v) > 0) {
-  }
-}
-
 }  // namespace ibarb::sched

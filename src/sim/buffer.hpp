@@ -7,9 +7,8 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <limits>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "iba/packet.hpp"
@@ -20,7 +19,10 @@ namespace ibarb::sim {
 inline constexpr std::uint32_t kUnbounded =
     std::numeric_limits<std::uint32_t>::max();
 
-/// FIFO of whole packets sharing one VL's buffer space.
+/// FIFO of whole packets sharing one VL's buffer space: a power-of-two ring
+/// allocated by the first push (most (port, VL) FIFOs of a fabric never
+/// hold a packet) and doubled when full. It never shrinks, so a FIFO keeps
+/// its high-water capacity and the steady state allocates nothing.
 class VlFifo {
  public:
   VlFifo() = default;
@@ -29,8 +31,8 @@ class VlFifo {
     capacity_bytes_ = capacity_bytes;
   }
 
-  bool empty() const noexcept { return !packets_ || packets_->empty(); }
-  std::size_t size() const noexcept { return packets_ ? packets_->size() : 0; }
+  bool empty() const noexcept { return count_ == 0; }
+  std::size_t size() const noexcept { return count_; }
   std::uint32_t used_bytes() const noexcept { return used_bytes_; }
   std::uint32_t capacity_bytes() const noexcept { return capacity_bytes_; }
 
@@ -43,18 +45,20 @@ class VlFifo {
   std::size_t peak_packets() const noexcept { return peak_packets_; }
 
   void push(iba::Packet p) {
+    if (count_ == slots_) grow();
     used_bytes_ += p.wire_bytes();
-    if (!packets_) packets_.emplace();
-    packets_->push_back(std::move(p));
+    ring_[(head_ + count_) & (slots_ - 1)] = std::move(p);
+    ++count_;
     if (used_bytes_ > peak_bytes_) peak_bytes_ = used_bytes_;
-    if (packets_->size() > peak_packets_) peak_packets_ = packets_->size();
+    if (count_ > peak_packets_) peak_packets_ = count_;
   }
 
-  const iba::Packet& front() const { return packets_->front(); }
+  const iba::Packet& front() const { return ring_[head_]; }
 
   iba::Packet pop() {
-    iba::Packet p = std::move(packets_->front());
-    packets_->pop_front();
+    iba::Packet p = std::move(ring_[head_]);
+    head_ = (head_ + 1) & (slots_ - 1);
+    --count_;
     used_bytes_ -= p.wire_bytes();
     return p;
   }
@@ -65,28 +69,47 @@ class VlFifo {
   /// starve on a VL whose arbitration weight moved away with the route.
   std::vector<iba::Packet> extract_connection(std::uint32_t conn) {
     std::vector<iba::Packet> out;
-    if (!packets_) return out;
-    std::deque<iba::Packet> keep;
-    for (auto& p : *packets_) {
+    const std::uint32_t mask = slots_ - 1;
+    std::uint32_t kept = 0;
+    for (std::uint32_t i = 0; i < count_; ++i) {
+      iba::Packet& p = ring_[(head_ + i) & mask];
       if (p.connection == conn) {
         used_bytes_ -= p.wire_bytes();
         out.push_back(std::move(p));
       } else {
-        keep.push_back(std::move(p));
+        // kept <= i: the survivor slides towards the head, never past an
+        // unread slot.
+        ring_[(head_ + kept) & mask] = std::move(p);
+        ++kept;
       }
     }
-    packets_->swap(keep);
+    count_ = kept;
     return out;
   }
 
  private:
-  /// Created by the first push: an empty std::deque still allocates, and
-  /// most (port, VL) FIFOs of a fabric never hold a packet.
-  std::optional<std::deque<iba::Packet>> packets_;
+  /// Doubles the ring, or allocates a first one of a single slot, and
+  /// unwraps the queued packets to the front of the new storage. One slot
+  /// first because most FIFOs stay tiny: on fattree:k=16,n=3 the ~194 k
+  /// FIFOs that ever hold a packet peak at 1.5 packets on average.
+  void grow() {
+    const std::uint32_t slots = slots_ == 0 ? 1 : 2 * slots_;
+    auto ring = std::make_unique<iba::Packet[]>(slots);
+    for (std::uint32_t i = 0; i < count_; ++i)
+      ring[i] = std::move(ring_[(head_ + i) & (slots_ - 1)]);
+    ring_ = std::move(ring);
+    slots_ = slots;
+    head_ = 0;
+  }
+
+  std::unique_ptr<iba::Packet[]> ring_;
+  std::uint32_t slots_ = 0;  ///< Ring size: 0 or a power of two.
+  std::uint32_t head_ = 0;   ///< Slot of the front packet.
+  std::uint32_t count_ = 0;  ///< Queued packets.
   std::uint32_t used_bytes_ = 0;
   std::uint32_t capacity_bytes_ = kUnbounded;
-  std::uint32_t peak_bytes_ = 0;    ///< High-water mark (telemetry).
-  std::size_t peak_packets_ = 0;
+  std::uint32_t peak_bytes_ = 0;    ///< High-water marks (telemetry).
+  std::uint32_t peak_packets_ = 0;
 };
 
 /// The 16 per-VL FIFOs of one port side (input or output).

@@ -1,14 +1,15 @@
-// Host (channel adapter) state and traffic-flow descriptors.
+// Traffic-flow descriptors and generator state.
 //
-// A host has a single port: the injection side mirrors a switch output port
-// (per-VL source queues, its own VLArbitrationTable arbiter, credits toward
-// the switch input buffer); the receive side is an instantaneous sink that
-// returns credits as soon as a packet lands.
+// A host (channel adapter) has a single port: the injection side is an
+// OutputPort like a switch's (per-VL source queues, its own
+// VLArbitrationTable arbiter, credits toward the switch input buffer) and
+// lives in the simulator's flat port table; the receive side is an
+// instantaneous sink that returns credits as soon as a packet lands.
 #pragma once
 
 #include <cstdint>
 
-#include "sim/switch.hpp"
+#include "iba/types.hpp"
 #include "util/rng.hpp"
 
 namespace ibarb::sim {
@@ -56,11 +57,6 @@ struct FlowState {
   /// Misbehaving-source multiplier on the generation rate (1.0 = nominal).
   /// Set by Simulator::set_flow_overdrive during fault overload bursts.
   double overdrive = 1.0;
-};
-
-struct HostState {
-  iba::NodeId node = iba::kInvalidNode;
-  OutputPort out;  ///< Injection port (port 0); source queues unbounded.
 };
 
 }  // namespace ibarb::sim

@@ -1,6 +1,5 @@
 #include "sim/metrics.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "obs/series.hpp"
@@ -85,14 +84,26 @@ void Metrics::record_drop(std::uint32_t conn) {
 }
 
 std::uint64_t Metrics::min_qos_rx() const {
-  std::uint64_t lo = std::numeric_limits<std::uint64_t>::max();
-  bool any = false;
-  for (const auto& c : connections) {
-    if (!c.qos) continue;
-    any = true;
-    lo = std::min(lo, c.rx_packets);
+  if (connections.size() == scanned_connections_) {
+    std::erase_if(at_min_, [this](std::uint32_t c) {
+      return connections[c].rx_packets != min_rx_;
+    });
+    if (!at_min_.empty()) return min_rx_;
   }
-  return any ? lo : 0;
+  scanned_connections_ = connections.size();
+  min_rx_ = std::numeric_limits<std::uint64_t>::max();
+  at_min_.clear();
+  for (std::uint32_t i = 0; i < connections.size(); ++i) {
+    const ConnectionMetrics& c = connections[i];
+    if (!c.qos || c.rx_packets > min_rx_) continue;
+    if (c.rx_packets < min_rx_) {
+      min_rx_ = c.rx_packets;
+      at_min_.clear();
+    }
+    at_min_.push_back(i);
+  }
+  if (at_min_.empty()) min_rx_ = 0;
+  return min_rx_;
 }
 
 }  // namespace ibarb::sim

@@ -119,7 +119,9 @@ class Metrics {
   /// A packet of `conn` was discarded by the fault layer before delivery.
   void record_drop(std::uint32_t conn);
 
-  /// rx packets delivered inside the window, cheap loop (phase control).
+  /// Fewest rx packets any QoS connection received inside the window (0
+  /// without QoS connections): the window-stop test of the paper protocol.
+  /// Amortized O(1) per call, see min_rx_.
   std::uint64_t min_qos_rx() const;
 
   /// Wires the time-series recorder (null to detach). Series hooks fire for
@@ -133,6 +135,14 @@ class Metrics {
   iba::Cycle window_start_ = 0;
   iba::Cycle window_end_ = 0;
   obs::SeriesRecorder* series_ = nullptr;
+
+  /// min_qos_rx's cache: the minimum its last full scan found, and the QoS
+  /// connections that sat at it. rx_packets only grows, so the minimum
+  /// holds while any of them is still at it; the next full scan comes once
+  /// all have moved past it, or once connections were added.
+  mutable std::uint64_t min_rx_ = 0;
+  mutable std::vector<std::uint32_t> at_min_;
+  mutable std::size_t scanned_connections_ = 0;
 };
 
 }  // namespace ibarb::sim

@@ -24,67 +24,67 @@ bool in_parallel() { return t_shard != nullptr; }
 
 }  // namespace
 
-/// Adapts one switch's port state to the sched::CrossbarPorts view. The
-/// eligibility queries and grant() reproduce exactly what the pre-refactor
+/// One switch's port state as a sched::CrossbarView. The eligibility
+/// queries and grant() reproduce exactly what the pre-refactor
 /// Simulator::try_start_transfer checked and committed, in the same order,
 /// so WrrCrossbar over this view is bit-identical to the old hard-wired
 /// loop (tests/golden/, test_crossbar differential).
-class XbarView final : public sched::CrossbarPorts {
+class XbarView final {
  public:
   XbarView(Simulator& sim, std::uint32_t switch_index)
-      : sim_(sim), sw_(sim.switches_[switch_index]) {}
+      : sim_(sim),
+        sw_(sim.switches_[switch_index]),
+        base_(sim.port_base_[sw_.node]),
+        out_(sim.out_.data() + base_) {}
 
-  unsigned port_count() const override {
+  unsigned port_count() const {
     return static_cast<unsigned>(sw_.in.size());
   }
 
-  iba::Cycle now() const override { return sim_.now_cur(); }
+  iba::Cycle now() const { return sim_.now_cur(); }
 
-  bool input_ready(iba::PortIndex in) const override {
+  bool input_ready(iba::PortIndex in) const {
     const InputPort& ip = sw_.in[in];
     return ip.wired && !ip.xbar_tx_busy && !ip.buffers.all_empty();
   }
 
-  std::uint16_t input_occupancy(iba::PortIndex in) const override {
+  std::uint16_t input_occupancy(iba::PortIndex in) const {
     return sw_.in[in].buffers.occupancy();
   }
 
-  iba::PortIndex head_output(iba::PortIndex in,
-                             iba::VirtualLane vl) const override {
+  iba::PortIndex head_output(iba::PortIndex in, iba::VirtualLane vl) const {
     return sim_.route_port(sw_, sw_.in[in].buffers.front(vl).destination);
   }
 
-  std::uint32_t head_bytes(iba::PortIndex in,
-                           iba::VirtualLane vl) const override {
+  std::uint32_t head_bytes(iba::PortIndex in, iba::VirtualLane vl) const {
     return sw_.in[in].buffers.front(vl).wire_bytes();
   }
 
-  bool output_free(iba::PortIndex out) const override {
-    return !sw_.out[out].xbar_rx_busy;
+  bool output_free(iba::PortIndex out) const {
+    return !out_[out].xbar_rx_busy;
   }
 
   bool output_accepts(iba::PortIndex in, iba::VirtualLane vl,
-                      iba::PortIndex out) const override {
+                      iba::PortIndex out) const {
     const iba::Packet& head = sw_.in[in].buffers.front(vl);
-    const OutputPort& op = sw_.out[out];
+    const OutputPort& op = out_[out];
     const iba::VirtualLane out_vl =
         head.management ? iba::kManagementVl : op.sl_map.map(head.sl);
     return op.queues.can_accept(out_vl, head.wire_bytes());
   }
 
   bool head_guaranteed(iba::PortIndex in, iba::VirtualLane vl,
-                       iba::PortIndex out) const override {
+                       iba::PortIndex out) const {
     const iba::Packet& head = sw_.in[in].buffers.front(vl);
     if (head.management) return true;
-    const OutputPort& op = sw_.out[out];
+    const OutputPort& op = out_[out];
     const iba::VirtualLane out_vl = op.sl_map.map(head.sl);
     return (op.arbiter.table().vl_mask_high() >> out_vl) & 1u;
   }
 
-  void grant(iba::PortIndex in, iba::VirtualLane vl,
-             iba::PortIndex out) override {
+  void grant(iba::PortIndex in, iba::VirtualLane vl, iba::PortIndex out) {
     InputPort& ip = sw_.in[in];
-    OutputPort& op = sw_.out[out];
+    OutputPort& op = out_[out];
     const iba::Packet& head = ip.buffers.front(vl);
 
     ip.xbar_tx_busy = true;
@@ -114,13 +114,12 @@ class XbarView final : public sched::CrossbarPorts {
       // immediately *before* the kXferComplete above, no event anywhere can
       // order between the two halves, and they touch disjoint port state —
       // so the split is unobservable.
-      const auto up = sim_.graph_.peer(sw_.node, in);
-      assert(up.has_value());
+      const network::PortRef up = sim_.feeder_[base_ + in].at;
       Event rel;
       rel.time = done_time;
       rel.type = EventType::kCreditRelease;
-      rel.node = up->node;
-      rel.port = up->port;
+      rel.node = up.node;
+      rel.port = up.port;
       rel.vl = vl;
       rel.aux = wire;
       sim_.push_event(std::move(rel));
@@ -130,7 +129,11 @@ class XbarView final : public sched::CrossbarPorts {
  private:
   Simulator& sim_;
   SwitchState& sw_;
+  std::uint32_t base_;  ///< slot(sw_.node, 0).
+  OutputPort* out_;     ///< The switch's output sides, by port.
 };
+
+static_assert(sched::CrossbarView<XbarView>);
 
 Simulator::Simulator(const network::FabricGraph& graph,
                      const network::Routes& routes, SimConfig cfg)
@@ -140,51 +143,56 @@ Simulator::Simulator(const network::FabricGraph& graph,
       cfg_.buffer_packets *
       (cfg_.max_payload_bytes + iba::kPacketOverheadBytes);
 
-  index_.assign(graph_.node_count(), 0);
+  // Lay out the flat port tables: every node's ports in node-id order, one
+  // port for a host.
+  const std::size_t nodes = graph_.node_count();
+  index_.assign(nodes, kNotSwitch);
+  port_base_.resize(nodes);
+  std::uint32_t slots = 0;
+  for (iba::NodeId id = 0; id < nodes; ++id) {
+    port_base_[id] = slots;
+    slots += graph_.is_switch(id) ? graph_.port_count(id) : 1;
+  }
+  out_.resize(slots);
+  feeder_.resize(slots);
+
+  // Flat metrics ids number the wired output ports in slot order.
   std::uint32_t flat = 0;
-
-  const auto init_output = [&](OutputPort& op, iba::NodeId node,
-                               iba::PortIndex port, bool host_interface) {
-    const auto peer = graph_.peer(node, port);
-    if (!peer) return;
-    op.wired = true;
-    op.peer = network::PortRef{peer->node, peer->port};
-    op.link = graph_.link(node, port);
-    op.flat_id = flat++;
-    op.sl_map = iba::SlToVlMappingTable::identity(iba::kManagementVl);
-    op.credits = iba::CreditTracker(
-        iba::bytes_to_blocks(buffer_capacity_bytes_));
-    PortMetrics pm;
-    pm.is_host_interface = host_interface;
-    pm.link_mbps = iba::link_mbps(op.link.rate);
-    metrics_.ports.push_back(pm);
-  };
-
-  for (iba::NodeId id = 0; id < graph_.node_count(); ++id) {
-    if (graph_.is_switch(id)) {
+  for (iba::NodeId id = 0; id < nodes; ++id) {
+    const bool is_switch = graph_.is_switch(id);
+    const unsigned ports = is_switch ? graph_.port_count(id) : 1;
+    SwitchState sw;
+    if (is_switch) {
       index_[id] = static_cast<std::uint32_t>(switches_.size());
-      SwitchState sw;
       sw.node = id;
-      const unsigned ports = graph_.port_count(id);
       sw.in.resize(ports);
-      sw.out.resize(ports);
-      for (unsigned p = 0; p < ports; ++p) {
-        if (graph_.peer(id, static_cast<iba::PortIndex>(p))) {
-          sw.in[p].wired = true;
-          sw.in[p].buffers.set_capacity_all(buffer_capacity_bytes_);
-        }
-        init_output(sw.out[p], id, static_cast<iba::PortIndex>(p),
-                    /*host_interface=*/false);
+    }
+    for (unsigned p = 0; p < ports; ++p) {
+      const auto port = static_cast<iba::PortIndex>(p);
+      const auto peer = graph_.peer(id, port);
+      if (!peer) continue;
+      feeder_[slot(id, port)] = Feeder{slot(peer->node, peer->port), *peer};
+      if (is_switch) {
+        sw.in[p].wired = true;
+        sw.in[p].buffers.set_capacity_all(buffer_capacity_bytes_);
       }
+      // Host source queues stay unbounded (kUnbounded capacities).
+      OutputPort& op = out_[slot(id, port)];
+      op.wired = true;
+      op.peer = *peer;
+      op.link = graph_.link(id, port);
+      op.flat_id = flat++;
+      op.sl_map = iba::SlToVlMappingTable::identity(iba::kManagementVl);
+      op.credits = iba::CreditTracker(
+          iba::bytes_to_blocks(buffer_capacity_bytes_));
+      PortMetrics pm;
+      pm.is_host_interface = !is_switch;
+      pm.link_mbps = iba::link_mbps(op.link.rate);
+      metrics_.ports.push_back(pm);
+    }
+    if (is_switch) {
       switches_.push_back(std::move(sw));
       xbar_.push_back(sched::make_crossbar(cfg_.crossbar_impl, ports));
-    } else {
-      index_[id] = static_cast<std::uint32_t>(hosts_.size());
-      HostState host;
-      host.node = id;
-      init_output(host.out, id, 0, /*host_interface=*/true);
-      // Source queues are unbounded; leave capacities at kUnbounded.
-      hosts_.push_back(std::move(host));
     }
   }
 
@@ -236,9 +244,7 @@ Simulator::Simulator(const network::FabricGraph& graph,
             std::max<std::uint64_t>(vl_peak_packets[v], f.peak_packets());
       }
     };
-    for (const SwitchState& sw : switches_)
-      for (const OutputPort& op : sw.out) fold(op);
-    for (const HostState& h : hosts_) fold(h.out);
+    for (const OutputPort& op : out_) fold(op);
 
     snap.add_counter("arb.decisions", arb.decisions);
     snap.add_counter("arb.vl15_bypasses", arb.vl15_bypasses);
@@ -268,9 +274,9 @@ Simulator::Simulator(const network::FabricGraph& graph,
                      static_cast<double>(in_peak_bytes),
                      obs::MergePolicy::kMax);
 
-    sched::CrossbarScheduler::Stats xs;
+    sched::CrossbarStats xs;
     for (const auto& x : xbar_) {
-      const sched::CrossbarScheduler::Stats& s = x->stats();
+      const sched::CrossbarStats& s = sched::stats(x);
       xs.rounds += s.rounds;
       xs.grants += s.grants;
       xs.iterations += s.iterations;
@@ -442,33 +448,52 @@ void Simulator::record_trace(iba::Cycle time, TraceEvent event,
       c->handler_known, c->handler_seq, c->handler_self});
 }
 
-OutputPort& Simulator::output_port(iba::NodeId node, iba::PortIndex port) {
-  if (graph_.is_switch(node)) return switches_[index_[node]].out.at(port);
-  assert(port == 0);
-  return hosts_[index_[node]].out;
+std::uint32_t Simulator::checked_slot(iba::NodeId node,
+                                      iba::PortIndex port) const {
+  const auto where = [&] {
+    return "Simulator: node " + std::to_string(node) + " port " +
+           std::to_string(static_cast<unsigned>(port));
+  };
+  if (node >= graph_.node_count())
+    throw std::invalid_argument(where() + ": no such node (fabric has " +
+                                std::to_string(graph_.node_count()) +
+                                " nodes)");
+  const bool host = index_[node] == kNotSwitch;
+  const std::size_t ports = host ? 1 : switches_[index_[node]].in.size();
+  if (port >= ports)
+    throw std::invalid_argument(
+        where() + ": out of range (" +
+        (host ? std::string("a host has 1 port")
+              : "the switch has " + std::to_string(ports) + " ports") +
+        ")");
+  if (!out_[slot(node, port)].wired)
+    throw std::invalid_argument(where() + ": port is not wired");
+  return slot(node, port);
+}
+
+network::PortRef Simulator::feeder(iba::NodeId node,
+                                   iba::PortIndex port) const {
+  return feeder_[checked_slot(node, port)].at;
 }
 
 void Simulator::set_output_arbitration(iba::NodeId node, iba::PortIndex port,
                                        const iba::VlArbitrationTable& table) {
-  output_port(node, port).arbiter.set_table(table);
+  out_[checked_slot(node, port)].arbiter.set_table(table);
 }
 
 void Simulator::set_sl_to_vl(iba::NodeId node, iba::PortIndex port,
                              const iba::SlToVlMappingTable& map) {
-  output_port(node, port).sl_map = map;
+  out_[checked_slot(node, port)].sl_map = map;
 }
 
 void Simulator::set_sl_to_vl_all(const iba::SlToVlMappingTable& map) {
-  for (auto& sw : switches_)
-    for (auto& op : sw.out)
-      if (op.wired) op.sl_map = map;
-  for (auto& h : hosts_)
-    if (h.out.wired) h.out.sl_map = map;
+  for (auto& op : out_)
+    if (op.wired) op.sl_map = map;
 }
 
 void Simulator::set_port_reserved_mbps(iba::NodeId node, iba::PortIndex port,
                                        double mbps) {
-  metrics_.ports.at(output_port(node, port).flat_id).reserved_mbps = mbps;
+  metrics_.ports[out_[checked_slot(node, port)].flat_id].reserved_mbps = mbps;
 }
 
 void Simulator::set_forwarding(iba::NodeId sw,
@@ -491,8 +516,7 @@ iba::PortIndex Simulator::route_port(const SwitchState& sw,
 
 std::uint32_t Simulator::flat_port_id(iba::NodeId node,
                                       iba::PortIndex port) const {
-  auto& self = const_cast<Simulator&>(*this);
-  return self.output_port(node, port).flat_id;
+  return out_[checked_slot(node, port)].flat_id;
 }
 
 std::uint32_t Simulator::add_flow(const FlowSpec& spec) {
@@ -643,11 +667,11 @@ void Simulator::on_generate(std::uint32_t flow_index) {
 
   metrics_.record_injection(flow_index, p);
 
-  HostState& host = hosts_[index_[spec.src_host]];
+  OutputPort& host = output_port(spec.src_host, 0);
   const iba::VirtualLane vl =
-      spec.management ? iba::kManagementVl : host.out.sl_map.map(spec.sl);
+      spec.management ? iba::kManagementVl : host.sl_map.map(spec.sl);
   record_trace(now, TraceEvent::kInject, spec.src_host, 0, vl, p);
-  host.out.queues.push(vl, std::move(p));
+  host.queues.push(vl, std::move(p));
   try_transmit(spec.src_host, 0);
 
   schedule_flow(flow_index, now);
@@ -713,17 +737,12 @@ void Simulator::on_link_deliver(const Event& e) {
     // returned — a lost packet must not wedge the sender.
     record_trace(now, TraceEvent::kDrop, e.node, e.port, e.vl, e.packet);
     metrics_.record_drop(e.packet.connection);
-    const auto up = graph_.peer(e.node, e.port);
-    assert(up.has_value());
-    OutputPort& upstream = output_port(up->node, up->port);
-    upstream.credits.release(e.vl, e.packet.wire_bytes());
-    try_transmit(up->node, up->port);
+    release_upstream(slot(e.node, e.port), e.vl, e.packet.wire_bytes());
     return;
   }
-  if (graph_.is_switch(e.node)) {
-    SwitchState& sw = switches_[index_[e.node]];
-    sw.in[e.port].buffers.push(e.vl, e.packet);
-    schedule_crossbar(index_[e.node], static_cast<int>(e.port));
+  if (const std::uint32_t sw = index_[e.node]; sw != kNotSwitch) {
+    switches_[sw].in[e.port].buffers.push(e.vl, e.packet);
+    schedule_crossbar(sw, static_cast<int>(e.port));
     return;
   }
   // Host sink: record, then return credits to the upstream switch port
@@ -736,18 +755,21 @@ void Simulator::on_link_deliver(const Event& e) {
     metrics_.record_delivery(e.packet.connection, e.packet, now);
   }
   if (delivery_listener_) delivery_listener_(e.packet, now);
-  const auto up = graph_.peer(e.node, 0);
-  assert(up.has_value());
-  OutputPort& upstream = output_port(up->node, up->port);
-  upstream.credits.release(e.vl, e.packet.wire_bytes());
-  try_transmit(up->node, up->port);
+  release_upstream(slot(e.node, 0), e.vl, e.packet.wire_bytes());
+}
+
+void Simulator::release_upstream(std::uint32_t in_slot, iba::VirtualLane vl,
+                                 std::uint32_t wire_bytes) {
+  const Feeder& up = feeder_[in_slot];
+  out_[up.out].credits.release(vl, wire_bytes);
+  try_transmit(up.at.node, up.at.port);
 }
 
 void Simulator::on_xfer_complete(const Event& e) {
-  SwitchState& sw = switches_[index_[e.node]];
+  const std::uint32_t sw = index_[e.node];
   const auto in_port = static_cast<iba::PortIndex>(e.aux);
-  InputPort& ip = sw.in[in_port];
-  OutputPort& op = sw.out[e.port];
+  InputPort& ip = switches_[sw].in[in_port];
+  OutputPort& op = output_port(e.node, e.port);
 
   iba::Packet p = ip.buffers.pop(e.vl);
 
@@ -755,13 +777,8 @@ void Simulator::on_xfer_complete(const Event& e) {
   // a parallel window the feeder may live on another shard, so the release
   // travels as the kCreditRelease event XbarView::grant emitted alongside
   // this one (keyed right before it — see on_credit_release).
-  if (!in_parallel()) {
-    const auto up = graph_.peer(e.node, in_port);
-    assert(up.has_value());
-    OutputPort& upstream = output_port(up->node, up->port);
-    upstream.credits.release(e.vl, p.wire_bytes());
-    try_transmit(up->node, up->port);
-  }
+  if (!in_parallel())
+    release_upstream(slot(e.node, in_port), e.vl, p.wire_bytes());
 
   // Enqueue at the output on the VL this port's SLtoVL table dictates —
   // unless recovery abandoned this connection on this port (the packet was
@@ -770,7 +787,7 @@ void Simulator::on_xfer_complete(const Event& e) {
   const iba::VirtualLane out_vl =
       p.management ? iba::kManagementVl : op.sl_map.map(p.sl);
   if (!p.management && !purged_flows_.empty() &&
-      purged_flows_.count({flat_port_id(e.node, e.port), p.connection}) > 0) {
+      purged_flows_.count({op.flat_id, p.connection}) > 0) {
     record_trace(now_cur(), TraceEvent::kDrop, e.node, e.port, out_vl, p);
     metrics_.record_drop(p.connection);
     ++purged_late_;
@@ -783,12 +800,12 @@ void Simulator::on_xfer_complete(const Event& e) {
   op.xbar_rx_busy = false;
 
   try_transmit(e.node, e.port);
-  schedule_crossbar(index_[e.node], /*only_input=*/-1);
+  schedule_crossbar(sw, /*only_input=*/-1);
 }
 
 void Simulator::schedule_crossbar(std::uint32_t switch_index, int only_input) {
   XbarView view(*this, switch_index);
-  xbar_[switch_index]->schedule(view, only_input);
+  sched::schedule(xbar_[switch_index], view, only_input);
 }
 
 void Simulator::on_credit_release(const Event& e) {
@@ -863,22 +880,23 @@ std::uint64_t Simulator::inject_external(std::uint32_t flow_index,
 
   metrics_.record_injection(flow_index, p);
 
-  HostState& host = hosts_[index_[spec.src_host]];
+  OutputPort& host = output_port(spec.src_host, 0);
   const iba::VirtualLane vl =
-      spec.management ? iba::kManagementVl : host.out.sl_map.map(spec.sl);
+      spec.management ? iba::kManagementVl : host.sl_map.map(spec.sl);
   record_trace(now_, TraceEvent::kInject, spec.src_host, 0, vl, p);
-  host.out.queues.push(vl, std::move(p));
+  host.queues.push(vl, std::move(p));
   try_transmit(spec.src_host, 0);
   return id;
 }
 
 void Simulator::kick_port(iba::NodeId node, iba::PortIndex port) {
+  checked_slot(node, port);
   try_transmit(node, port);
 }
 
 std::uint64_t Simulator::flush_output_queue(iba::NodeId node,
                                             iba::PortIndex port) {
-  OutputPort& op = output_port(node, port);
+  OutputPort& op = out_[checked_slot(node, port)];
   std::uint64_t flushed = 0;
   // Queued packets never consumed this port's credits (that happens when
   // serialization starts), so discarding them is pure local state.
@@ -896,7 +914,7 @@ std::uint64_t Simulator::flush_output_queue(iba::NodeId node,
 std::uint64_t Simulator::purge_flow_from_output(iba::NodeId node,
                                                 iba::PortIndex port,
                                                 std::uint32_t flow) {
-  OutputPort& op = output_port(node, port);
+  OutputPort& op = out_[checked_slot(node, port)];
   std::uint64_t purged = 0;
   // Like flushed packets, queued packets hold no credits yet: removal is
   // pure local state.
@@ -911,7 +929,7 @@ std::uint64_t Simulator::purge_flow_from_output(iba::NodeId node,
   // Arm the barrier: anything still in flight towards this port (crossbar
   // transfer or link traversal) lands after the purge and is dropped on
   // enqueue, until clear_flow_purge re-admits the flow here.
-  purged_flows_.insert({flat_port_id(node, port), flow});
+  purged_flows_.insert({op.flat_id, flow});
   return purged;
 }
 
@@ -996,11 +1014,9 @@ RunSummary Simulator::run_paper_phases(iba::Cycle warmup,
 
 std::uint64_t Simulator::packets_in_network() const {
   std::uint64_t n = 0;
-  for (const auto& sw : switches_) {
+  for (const auto& sw : switches_)
     for (const auto& ip : sw.in) n += ip.buffers.total_packets();
-    for (const auto& op : sw.out) n += op.queues.total_packets();
-  }
-  for (const auto& h : hosts_) n += h.out.queues.total_packets();
+  for (const auto& op : out_) n += op.queues.total_packets();
   return n;
 }
 

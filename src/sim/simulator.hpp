@@ -1,4 +1,4 @@
-// The network simulator: wires SwitchState/HostState over a FabricGraph,
+// The network simulator: wires switch and host ports over a FabricGraph,
 // executes the event loop, and drives the paper's two-phase measurement
 // protocol (transient warm-up, then a steady-state window that lasts until
 // the slowest QoS connection has received a target number of packets).
@@ -130,7 +130,7 @@ struct ShardLoadStats {
 };
 
 class Simulator {
-  friend class XbarView;  ///< sched::CrossbarPorts adapter (simulator.cpp).
+  friend class XbarView;  ///< One switch's sched::CrossbarView (.cpp).
   friend class ShardEngine;  ///< Parallel window engine (sim/shard.hpp).
 
  public:
@@ -145,7 +145,9 @@ class Simulator {
   // --- Configuration (the subnet-management plane) -----------------------
 
   /// Programs the VLArbitrationTable of one output port. For hosts, `port`
-  /// must be 0 (the injection interface).
+  /// must be 0 (the injection interface). This and every other entry point
+  /// that names a (node, port) throws std::invalid_argument, naming both,
+  /// for an unknown node or an unwired or out-of-range port.
   void set_output_arbitration(iba::NodeId node, iba::PortIndex port,
                               const iba::VlArbitrationTable& table);
 
@@ -253,6 +255,10 @@ class Simulator {
   /// Flat metrics index of an output port.
   std::uint32_t flat_port_id(iba::NodeId node, iba::PortIndex port) const;
 
+  /// The output port feeding (node, port)'s input side — graph_.peer,
+  /// precomputed once at construction for the credit-return paths.
+  network::PortRef feeder(iba::NodeId node, iba::PortIndex port) const;
+
   std::uint64_t events_processed() const noexcept { return events_; }
 
   /// Total packets currently queued anywhere (tests: conservation checks).
@@ -341,12 +347,27 @@ class Simulator {
   obs::PhaseProfiler* cur_profiler() const;
 
   void try_transmit(iba::NodeId node, iba::PortIndex port);
-  /// Runs the switch's crossbar scheduler (sched::CrossbarScheduler) over an
+  /// Runs the switch's crossbar scheduler (sched::AnyCrossbar) over an
   /// XbarView of the ports. `only_input` >= 0 is the cheap single-arrival
   /// trigger hint.
   void schedule_crossbar(std::uint32_t switch_index, int only_input);
 
-  OutputPort& output_port(iba::NodeId node, iba::PortIndex port);
+  /// Position of (node, port) in the flat port tables. Unchecked: the data
+  /// plane only names ports taken from the graph or from its own events.
+  std::uint32_t slot(iba::NodeId node, iba::PortIndex port) const {
+    return port_base_[node] + port;
+  }
+  OutputPort& output_port(iba::NodeId node, iba::PortIndex port) {
+    return out_[slot(node, port)];
+  }
+  /// slot() for the public entry points: throws std::invalid_argument
+  /// naming the node and port when the node is unknown or the port is
+  /// out of range or unwired.
+  std::uint32_t checked_slot(iba::NodeId node, iba::PortIndex port) const;
+  /// Returns `wire_bytes` of credits on VL `vl` to the output port feeding
+  /// input slot `in_slot`, and lets it transmit.
+  void release_upstream(std::uint32_t in_slot, iba::VirtualLane vl,
+                        std::uint32_t wire_bytes);
   iba::PortIndex route_port(const SwitchState& sw, iba::Lid dst) const;
   void schedule_flow(std::uint32_t flow_index, iba::Cycle not_before);
 
@@ -393,13 +414,28 @@ class Simulator {
   std::map<std::uint32_t, std::function<void()>> controls_;
   std::uint32_t next_control_id_ = 0;
 
-  // Dense state. index_[node] is the position within switches_ or hosts_.
+  // Dense state. index_[node] is the position within switches_, or
+  // kNotSwitch for a host.
+  static constexpr std::uint32_t kNotSwitch = 0xFFFFFFFF;
   std::vector<std::uint32_t> index_;
   std::vector<SwitchState> switches_;
   /// One crossbar scheduler per switch (same index as switches_); owns all
   /// matching state — pointers, priority matrices, rate counters.
-  std::vector<std::unique_ptr<sched::CrossbarScheduler>> xbar_;
-  std::vector<HostState> hosts_;
+  std::vector<sched::AnyCrossbar> xbar_;
+
+  /// Flat port tables, indexed by slot(node, port) = port_base_[node] +
+  /// port: every node's ports in node-id order, one port for a host.
+  std::vector<std::uint32_t> port_base_;
+  /// Output sides (host injection ports included); unwired ports keep a
+  /// default, never-used entry so slots stay a plain offset.
+  std::vector<OutputPort> out_;
+  /// The output port that feeds each input side, precomputed from
+  /// graph_.peer: its slot in out_ and its (node, port). Unwired: unset.
+  struct Feeder {
+    std::uint32_t out = 0;
+    network::PortRef at;
+  };
+  std::vector<Feeder> feeder_;
   std::vector<FlowState> flows_;
   Metrics metrics_;
   PacketTrace trace_;

@@ -65,11 +65,11 @@ struct InputPort {
 
 /// Which (input, VL, output) transfer starts next — and every round-robin /
 /// priority pointer that decision needs — lives in the switch's
-/// sched::CrossbarScheduler, not here (see src/sched/crossbar.hpp).
+/// sched::AnyCrossbar, not here (see src/sched/crossbar.hpp). The output
+/// sides live in the simulator's flat port table (Simulator::output_port).
 struct SwitchState {
   iba::NodeId node = iba::kInvalidNode;
   std::vector<InputPort> in;
-  std::vector<OutputPort> out;
   /// Linear forwarding table indexed by destination LID (programmed by the
   /// subnet manager via Set(LinearForwardingTable) MADs). Empty = fall back
   /// to the shared Routes object (convenient for unit tests).

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+
+#include "util/rng.hpp"
+
 namespace ibarb::sim {
 namespace {
 
@@ -124,6 +129,99 @@ TEST(PortBuffers, ExtractConnectionClearsOccupancyWhenVlDrains) {
   EXPECT_EQ(b.occupancy(), 1u << 2) << "other flow still queued";
   EXPECT_EQ(b.extract_connection(2, 6).size(), 1u);
   EXPECT_TRUE(b.all_empty()) << "occupancy bit must clear with the VL";
+}
+
+TEST(VlFifo, RingMatchesDequeReferenceAcrossGrowthAndWrap) {
+  // Differential: the ring against a std::deque model under random push,
+  // pop and extract_connection, long enough to grow the ring several times
+  // and to wrap its head around many times at every size.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    util::Xoshiro256 rng(seed);
+    VlFifo f;
+    std::deque<iba::Packet> ref;
+    std::uint32_t ref_bytes = 0;
+    std::uint32_t ref_peak_bytes = 0;
+    std::size_t ref_peak_packets = 0;
+    std::uint64_t next_id = 1;
+    // Phases bias towards growth, then churn at a plateau, then drain, so
+    // the head wraps at every ring size the FIFO passes through.
+    for (unsigned step = 0; step < 4000; ++step) {
+      const unsigned phase = (step / 500) % 4;
+      const double push_odds = phase == 0 ? 0.75 : phase == 3 ? 0.3 : 0.5;
+      const double r = rng.uniform();
+      if (r < 0.03) {
+        const auto conn = static_cast<std::uint32_t>(rng.uniform(0, 4));
+        const auto out = f.extract_connection(conn);
+        std::vector<iba::Packet> want;
+        std::deque<iba::Packet> keep;
+        for (const auto& p : ref) {
+          if (p.connection == conn) {
+            want.push_back(p);
+            ref_bytes -= p.wire_bytes();
+          } else {
+            keep.push_back(p);
+          }
+        }
+        ref.swap(keep);
+        ASSERT_EQ(out.size(), want.size()) << "seed " << seed;
+        for (std::size_t i = 0; i < out.size(); ++i)
+          ASSERT_EQ(out[i].id, want[i].id) << "seed " << seed;
+      } else if (r < 0.03 + push_odds || ref.empty()) {
+        iba::Packet p;
+        p.id = next_id++;
+        p.connection = static_cast<std::uint32_t>(rng.uniform(0, 4));
+        p.payload_bytes = static_cast<std::uint32_t>(rng.uniform(0, 4097));
+        ref_bytes += p.wire_bytes();
+        ref_peak_bytes = std::max(ref_peak_bytes, ref_bytes);
+        ref.push_back(p);
+        ref_peak_packets = std::max(ref_peak_packets, ref.size());
+        f.push(p);
+      } else {
+        ASSERT_EQ(f.front().id, ref.front().id) << "seed " << seed;
+        ASSERT_EQ(f.pop().id, ref.front().id) << "seed " << seed;
+        ref_bytes -= ref.front().wire_bytes();
+        ref.pop_front();
+      }
+      ASSERT_EQ(f.size(), ref.size()) << "seed " << seed << " step " << step;
+      ASSERT_EQ(f.empty(), ref.empty());
+      ASSERT_EQ(f.used_bytes(), ref_bytes);
+      ASSERT_EQ(f.peak_bytes(), ref_peak_bytes);
+      ASSERT_EQ(f.peak_packets(), ref_peak_packets);
+      if (!ref.empty()) {
+        ASSERT_EQ(f.front().id, ref.front().id);
+      }
+    }
+    EXPECT_GT(ref_peak_packets, 16u) << "the ring must have grown";
+    // Drain: the remaining order must match exactly.
+    while (!ref.empty()) {
+      ASSERT_EQ(f.pop().id, ref.front().id);
+      ref.pop_front();
+    }
+    EXPECT_TRUE(f.empty());
+    EXPECT_EQ(f.used_bytes(), 0u);
+  }
+}
+
+TEST(VlFifo, ExtractConnectionAcrossTheWrapPoint) {
+  // Head near the end of the ring, tail wrapped to its start: survivors
+  // keep their order and the ring stays usable afterwards.
+  VlFifo f;
+  for (std::uint64_t id = 1; id <= 4; ++id) f.push(conn_pkt(0, id));
+  f.pop();
+  f.pop();
+  f.pop();  // head at slot 3 of 4
+  f.push(conn_pkt(1, 5));
+  f.push(conn_pkt(0, 6));
+  f.push(conn_pkt(1, 7));  // slots 3, 0, 1, 2 hold ids 4..7
+  const auto out = f.extract_connection(1);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].id, 5u);
+  EXPECT_EQ(out[1].id, 7u);
+  f.push(conn_pkt(2, 8));
+  EXPECT_EQ(f.pop().id, 4u);
+  EXPECT_EQ(f.pop().id, 6u);
+  EXPECT_EQ(f.pop().id, 8u);
+  EXPECT_TRUE(f.empty());
 }
 
 }  // namespace

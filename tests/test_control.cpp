@@ -5,6 +5,7 @@
 // exactly the same control-plane state as the uninterrupted world.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -93,6 +94,49 @@ TEST(SnapshotEnvelope, DetectsDamage) {
   EXPECT_THROW((void)control::open_envelope(wrong_magic), std::runtime_error);
 
   EXPECT_THROW((void)control::open_envelope({}), std::runtime_error);
+}
+
+TEST(SnapshotFile, WritesAtomicallyAndFailedWriteKeepsOldFile) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "ibarb_snapshot_file";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "world.snap").string();
+
+  const auto old_blob = control::seal_envelope({1, 2, 3});
+  control::write_snapshot_file(path, old_blob);
+  EXPECT_EQ(control::read_snapshot_file(path), old_blob);
+  EXPECT_FALSE(fs::exists(path + ".tmp")) << "temporary renamed away";
+
+  // Make the write fail: the temporary's name is taken by a directory.
+  fs::create_directory(path + ".tmp");
+  try {
+    control::write_snapshot_file(path, control::seal_envelope({9, 9}));
+    ADD_FAILURE() << "a failed write must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(control::read_snapshot_file(path), old_blob)
+      << "the previous snapshot must survive a failed write";
+  EXPECT_TRUE(fs::is_directory(path + ".tmp"))
+      << "a temporary the writer did not create is left alone";
+
+  fs::remove(path + ".tmp");
+  const auto new_blob = control::seal_envelope({4, 5});
+  control::write_snapshot_file(path, new_blob);
+  EXPECT_EQ(control::read_snapshot_file(path), new_blob);
+  fs::remove_all(dir);
+}
+
+TEST(SnapshotFile, ReadNamesAMissingFile) {
+  try {
+    (void)control::read_snapshot_file("/nonexistent-dir/none.snap");
+    ADD_FAILURE() << "reading a missing file must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("/nonexistent-dir/none.snap"),
+              std::string::npos);
+  }
 }
 
 // --------------------------------------------------------------------------

@@ -52,12 +52,13 @@ struct Grant {
   bool operator==(const Grant&) const = default;
 };
 
-/// A one-switch fabric stub. grant() enforces the commit-time contract
-/// (input ready, output free, space downstream) with test assertions, so
-/// every scheduler test doubles as an eligibility-invariant probe.
+/// A one-switch fabric stub satisfying sched::CrossbarView. grant()
+/// enforces the commit-time contract (input ready, output free, space
+/// downstream) with test assertions, so every scheduler test doubles as an
+/// eligibility-invariant probe.
 /// Copyable on purpose: the differential test replays one arrival schedule
 /// against two engines.
-class MockFabric : public CrossbarPorts {
+class MockFabric {
  public:
   explicit MockFabric(unsigned ports)
       : ports_(ports), q_(ports), in_busy_(ports, false),
@@ -97,39 +98,36 @@ class MockFabric : public CrossbarPorts {
     return false;
   }
 
-  // --- CrossbarPorts ------------------------------------------------------
-  unsigned port_count() const override { return ports_; }
-  iba::Cycle now() const override { return time_; }
-  bool input_ready(iba::PortIndex in) const override {
+  // --- CrossbarView -------------------------------------------------------
+  unsigned port_count() const { return ports_; }
+  iba::Cycle now() const { return time_; }
+  bool input_ready(iba::PortIndex in) const {
     return !in_busy_[in] && input_occupancy(in) != 0;
   }
-  std::uint16_t input_occupancy(iba::PortIndex in) const override {
+  std::uint16_t input_occupancy(iba::PortIndex in) const {
     std::uint16_t occ = 0;
     for (unsigned v = 0; v < iba::kMaxVirtualLanes; ++v)
       if (!q_[in][v].empty()) occ |= static_cast<std::uint16_t>(1u << v);
     return occ;
   }
-  iba::PortIndex head_output(iba::PortIndex in,
-                             iba::VirtualLane vl) const override {
+  iba::PortIndex head_output(iba::PortIndex in, iba::VirtualLane vl) const {
     return q_[in][vl].front().out;
   }
-  std::uint32_t head_bytes(iba::PortIndex in,
-                           iba::VirtualLane vl) const override {
+  std::uint32_t head_bytes(iba::PortIndex in, iba::VirtualLane vl) const {
     return q_[in][vl].front().bytes;
   }
-  bool output_free(iba::PortIndex out) const override {
+  bool output_free(iba::PortIndex out) const {
     return !out_busy_[out];
   }
   bool output_accepts(iba::PortIndex, iba::VirtualLane,
-                      iba::PortIndex out) const override {
+                      iba::PortIndex out) const {
     return !out_full_[out];
   }
   bool head_guaranteed(iba::PortIndex in, iba::VirtualLane vl,
-                       iba::PortIndex) const override {
+                       iba::PortIndex) const {
     return q_[in][vl].front().guaranteed;
   }
-  void grant(iba::PortIndex in, iba::VirtualLane vl,
-             iba::PortIndex out) override {
+  void grant(iba::PortIndex in, iba::VirtualLane vl, iba::PortIndex out) {
     // Commit-time contract: every grant must be eligible right now. A
     // double grant within one match trips the busy checks.
     EXPECT_TRUE(input_ready(in)) << "grant from busy/empty input " << in;
@@ -152,6 +150,8 @@ class MockFabric : public CrossbarPorts {
   std::vector<Grant> grants_;
   iba::Cycle time_ = 0;
 };
+
+static_assert(CrossbarView<MockFabric>);
 
 // ---------------------------------------------------------------------------
 // Differential: WrrCrossbar vs the pre-refactor Simulator loop, verbatim.
@@ -528,7 +528,7 @@ INSTANTIATE_TEST_SUITE_P(Zoo, EverySchedulerTest,
 
 /// Randomized arrival/release/congestion schedule against one scheduler;
 /// returns the fabric for post-hoc assertions.
-MockFabric drive_random(CrossbarScheduler& sched, unsigned ports,
+MockFabric drive_random(AnyCrossbar& sched, unsigned ports,
                         std::uint64_t seed, unsigned steps) {
   util::Xoshiro256 rng(seed);
   MockFabric f(ports);
@@ -543,27 +543,27 @@ MockFabric drive_random(CrossbarScheduler& sched, unsigned ports,
       p.bytes = 64 + static_cast<std::uint32_t>(rng.uniform(0, 4096));
       p.guaranteed = rng.chance(0.5);
       f.push(in, vl, p);
-      sched.schedule(f, static_cast<int>(in));
+      schedule(sched, f, static_cast<int>(in));
     } else if (r < 0.8) {
       f.release_all();
       f.advance(1 + static_cast<iba::Cycle>(rng.uniform(0, 5000)));
-      sched.schedule(f, -1);
+      schedule(sched, f, -1);
     } else {
       f.set_output_full(static_cast<unsigned>(rng.uniform(0, ports)),
                         rng.chance(0.4));
-      sched.schedule(f, -1);
+      schedule(sched, f, -1);
     }
   }
   // Finish with a full rescan so work conservation is assessable.
   f.release_all();
-  sched.schedule(f, -1);
+  schedule(sched, f, -1);
   return f;
 }
 
 TEST_P(EverySchedulerTest, WorkConservingAfterFullRescan) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const auto sched = make_crossbar(GetParam(), 8);
-    const MockFabric f = drive_random(*sched, 8, seed, 300);
+    auto sched = make_crossbar(GetParam(), 8);
+    const MockFabric f = drive_random(sched, 8, seed, 300);
     // After schedule(-1) returns, no startable transfer may remain — for
     // ANY policy in the zoo. (Eligibility at commit time was asserted by
     // the mock on every grant along the way.)
@@ -573,23 +573,23 @@ TEST_P(EverySchedulerTest, WorkConservingAfterFullRescan) {
 }
 
 TEST_P(EverySchedulerTest, DeterministicReplay) {
-  const auto a = make_crossbar(GetParam(), 8);
-  const auto b = make_crossbar(GetParam(), 8);
-  const MockFabric fa = drive_random(*a, 8, 42, 400);
-  const MockFabric fb = drive_random(*b, 8, 42, 400);
+  auto a = make_crossbar(GetParam(), 8);
+  auto b = make_crossbar(GetParam(), 8);
+  const MockFabric fa = drive_random(a, 8, 42, 400);
+  const MockFabric fb = drive_random(b, 8, 42, 400);
   // Same schedule, same decisions, bit for bit — schedulers may keep no
   // hidden nondeterministic state (this is what --jobs reproducibility
   // rests on).
   EXPECT_EQ(fa.grants(), fb.grants());
-  EXPECT_EQ(a->stats().grants, b->stats().grants);
-  EXPECT_EQ(a->stats().iterations, b->stats().iterations);
+  EXPECT_EQ(stats(a).grants, stats(b).grants);
+  EXPECT_EQ(stats(a).iterations, stats(b).iterations);
 }
 
 TEST_P(EverySchedulerTest, StatsCountGrantsExactly) {
-  const auto sched = make_crossbar(GetParam(), 8);
-  const MockFabric f = drive_random(*sched, 8, 7, 300);
-  EXPECT_EQ(sched->stats().grants, f.grants().size());
-  EXPECT_GT(sched->stats().rounds, 0u);
+  auto sched = make_crossbar(GetParam(), 8);
+  const MockFabric f = drive_random(sched, 8, 7, 300);
+  EXPECT_EQ(stats(sched).grants, f.grants().size());
+  EXPECT_GT(stats(sched).rounds, 0u);
 }
 
 // ---------------------------------------------------------------------------

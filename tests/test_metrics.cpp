@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+
+#include "util/rng.hpp"
 
 namespace ibarb::sim {
 namespace {
@@ -153,6 +157,47 @@ TEST(Metrics, PacketDeadlineOverridesConnectionDeadline) {
   m.record_delivery(0, pkt(10, 0), 600);
   EXPECT_EQ(m.connections[0].deadline_misses, 1u);
   EXPECT_EQ(m.connections[0].rx_packets, 2u);
+}
+
+TEST(Metrics, MinQosRxMatchesFullScanUnderRandomDeliveries) {
+  // The cached minimum against a full scan after every call, with random
+  // deliveries (QoS and best-effort), connections added mid-window and
+  // probes at random points — the window-stop test must be exact.
+  const auto reference = [](const Metrics& m) {
+    std::uint64_t lo = std::numeric_limits<std::uint64_t>::max();
+    bool any = false;
+    for (const auto& c : m.connections) {
+      if (!c.qos) continue;
+      any = true;
+      lo = std::min(lo, c.rx_packets);
+    }
+    return any ? lo : 0;
+  };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    util::Xoshiro256 rng(seed);
+    Metrics m;
+    m.start_window(0);
+    EXPECT_EQ(m.min_qos_rx(), 0u) << "no connections yet";
+    for (unsigned step = 0; step < 3000; ++step) {
+      const double r = rng.uniform();
+      if (r < 0.02 || m.connections.empty()) {
+        ConnectionMetrics c;
+        c.qos = rng.chance(0.7);
+        m.connections.push_back(c);
+      } else if (r < 0.9) {
+        // Deliveries favour low indices, so the minimum lags behind on the
+        // high ones and moves in bursts.
+        const double u = rng.uniform();
+        const auto conn = static_cast<std::uint32_t>(
+            u * u * static_cast<double>(m.connections.size()));
+        m.record_delivery(conn, pkt(64, 0), 1);
+      } else {
+        ASSERT_EQ(m.min_qos_rx(), reference(m))
+            << "seed " << seed << " step " << step;
+      }
+    }
+    EXPECT_EQ(m.min_qos_rx(), reference(m)) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <ostream>
 #include <queue>
 #include <unordered_map>
 #include <unordered_set>
@@ -327,6 +328,13 @@ struct Combo {
   const char* spec;
   const char* engine;
 };
+
+/// Prints a case as "spec x engine". Without it gtest prints a byte dump of
+/// the two string-literal addresses, which moves with every build and so
+/// made the listed test IDs unstable.
+void PrintTo(const Combo& c, std::ostream* os) {
+  *os << c.spec << " x " << c.engine;
+}
 
 class EngineMatrix : public ::testing::TestWithParam<Combo> {};
 

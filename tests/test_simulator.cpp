@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "network/registry.hpp"
 #include "network/topology.hpp"
 
 namespace ibarb::sim {
@@ -285,6 +286,69 @@ TEST(Simulator, FourXLinksMoveFourTimesTheData) {
               4.0, 0.2);
   // And the 1x run is itself at line rate (1 byte/cycle, minus overheads).
   EXPECT_GT(static_cast<double>(bytes_1x) / 3'000'000.0, 0.9);
+}
+
+TEST(Simulator, PrecomputedFeedersMatchTheGraph) {
+  // The credit-return paths use each input side's feeder, precomputed at
+  // construction instead of asking graph.peer per packet: it must be the
+  // graph's peer for every wired port of every node, on every family.
+  for (const char* spec :
+       {"irregular:switches=16,seed=1", "fattree:k=4,n=2",
+        "dragonfly:a=4,h=2", "torus3d:x=3,y=3,z=3"}) {
+    const auto g = network::TopologySpec::parse(spec).build();
+    const auto routes = network::compute_routes(g);
+    const Simulator sim(g, routes, SimConfig{});
+    std::size_t wired = 0;
+    for (iba::NodeId n = 0; n < g.node_count(); ++n) {
+      for (unsigned p = 0; p < g.port_count(n); ++p) {
+        const auto port = static_cast<iba::PortIndex>(p);
+        const auto peer = g.peer(n, port);
+        if (!peer) continue;
+        ++wired;
+        EXPECT_EQ(sim.feeder(n, port), *peer)
+            << spec << ": node " << n << " port " << p;
+      }
+    }
+    EXPECT_GT(wired, 0u) << spec;
+    // Flat metrics ids number exactly the wired output ports.
+    EXPECT_EQ(sim.metrics().ports.size(), wired) << spec;
+  }
+}
+
+TEST(Simulator, CheckedPortAccessorNamesTheBadPort) {
+  // An unwired port, a host port other than 0, a port past the switch's
+  // last and an unknown node: each entry point that names a (node, port)
+  // rejects them with a message naming both, instead of silently writing
+  // to some other port.
+  auto g = network::gen::single_switch(2);
+  const auto sw = g.switches()[0];
+  const auto host = g.hosts()[0];
+  const auto routes = network::compute_routes(g);
+  Simulator sim(g, routes, SimConfig{});
+  const auto expect_named = [](const auto& call, const std::string& what) {
+    try {
+      call();
+      ADD_FAILURE() << "expected std::invalid_argument naming " << what;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  };
+  const iba::VlArbitrationTable t;
+  const std::string unwired = "node " + std::to_string(sw) + " port 5";
+  expect_named([&] { sim.set_output_arbitration(sw, 5, t); }, unwired);
+  expect_named([&] { (void)sim.feeder(sw, 5); }, unwired);
+  const std::string host_port = "node " + std::to_string(host) + " port 1";
+  expect_named([&] { sim.set_output_arbitration(host, 1, t); }, host_port);
+  expect_named([&] { (void)sim.flat_port_id(host, 1); }, host_port);
+  expect_named([&] { sim.set_sl_to_vl(host, 1, {}); }, host_port);
+  const std::string past = "node " + std::to_string(sw) + " port 200";
+  expect_named([&] { sim.set_port_reserved_mbps(sw, 200, 1.0); }, past);
+  expect_named([&] { (void)sim.flush_output_queue(sw, 200); }, past);
+  expect_named([&] { sim.kick_port(999, 0); }, "node 999 port 0");
+  // The wired ports themselves stay accepted.
+  EXPECT_NO_THROW(sim.set_output_arbitration(host, 0, t));
+  EXPECT_NO_THROW(sim.set_output_arbitration(sw, 0, t));
 }
 
 }  // namespace
