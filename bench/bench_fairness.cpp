@@ -179,7 +179,6 @@ Row run_one(sched::CrossbarImpl impl, Pattern pattern, std::uint64_t seed) {
   sim::SimConfig sc;
   sc.seed = seed;
   sc.crossbar_impl = impl;
-  sc.queue_impl = bench::queue_impl_from_env();
   sc.sample_every = kWarmup;  // series windows align with the warmup edge
   sim::Simulator sim(g, routes, sc);
   program_fabric(sim, g);

@@ -12,27 +12,15 @@
 // Harness sections (report figures):
 //  * queue      — the event queue alone, under a fig4-shaped event stream
 //                 (steady-state depth ~20k, the paper network's live event
-//                 count), measured for both implementations. The headline
-//                 `speedup` is wheel events/sec over the pre-PR binary-heap
-//                 baseline on this workload.
+//                 count). The headline `speedup` is the timing wheel's
+//                 events/sec over a std::priority_queue replay of the same
+//                 stream (HeapQueue below, the pre-wheel design).
 //  * sim_fig4   — the full fig4-style experiment (16-switch irregular fabric,
-//                 Table-1 workload, small MTU), simulation phase only, for
-//                 both queue implementations. End-to-end numbers: includes
-//                 all non-queue work, so the ratio here is smaller.
+//                 Table-1 workload, small MTU), simulation phase only.
 //  * arbiter    — arbitration decisions/sec on dense and sparse tables.
 //  * series     — the SeriesRecorder hot path: deliveries/sec through
 //                 record_delivery + windowed commits, in a regime without
 //                 decimation and one that forces repeated decimations.
-//  * shard_channel — the parallel core's cross-shard plumbing: raw SPSC
-//                 ring transfer between two threads, the window-burst
-//                 push/drain pattern through a ShardChannel (ring + spill),
-//                 and the promote step (sort by final (time, key), keyed
-//                 insert into the event queue) that merges a window's
-//                 cross-shard events.
-//  * shard_obs  — the per-shard observability planes (ISSUE 10): the
-//                 SeriesRecorder lane fold's per-delivery overhead at 4
-//                 lanes (target <2%), and the Snapshot::merge cost of
-//                 folding 4 per-shard telemetry parts.
 //  * snapshot_roundtrip — the crash-consistent control-plane snapshot
 //                 (control/snapshot.hpp): save_world / restore_world /
 //                 audit_full wall cost and blob size at small (1k) and
@@ -45,9 +33,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <queue>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "arbtable/fill_algorithm.hpp"
@@ -65,7 +53,6 @@
 #include "obs/telemetry.hpp"
 #include "paper_runner.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/shard.hpp"
 #include "util/cli.hpp"
 #include "util/json_writer.hpp"
 #include "util/rng.hpp"
@@ -230,6 +217,34 @@ iba::Cycle fig4_delta(util::Xoshiro256& rng) {
   return static_cast<iba::Cycle>(rng.between(70000, 300000));
 }
 
+/// The pre-wheel event queue, kept only as the `queue` figure's baseline: a
+/// std::priority_queue of whole Events ordered by (time, seq), with the same
+/// monotone tie-break stamp as sim::EventQueue, so both pop the same order.
+class HeapQueue {
+ public:
+  void push(sim::Event e) {
+    e.seq = next_seq_++;
+    heap_.push(std::move(e));
+  }
+  bool empty() const { return heap_.empty(); }
+  sim::Event pop() {
+    // priority_queue exposes the top read-only; moving out of it is safe
+    // (pop() only shuffles elements, never reads the payload).
+    sim::Event e = std::move(const_cast<sim::Event&>(heap_.top()));
+    heap_.pop();
+    return e;
+  }
+
+ private:
+  struct Later {
+    bool operator()(const sim::Event& a, const sim::Event& b) const noexcept {
+      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+    }
+  };
+  std::priority_queue<sim::Event, std::vector<sim::Event>, Later> heap_;
+  std::uint64_t next_seq_ = 0;
+};
+
 struct QueueResult {
   double push_ns = 0.0;        ///< Mean push cost while filling to depth.
   double pop_ns = 0.0;         ///< Mean pop cost while draining.
@@ -237,8 +252,9 @@ struct QueueResult {
   std::uint64_t checksum = 0;  ///< Order-sensitive digest of popped events.
 };
 
-QueueResult measure_queue_once(sim::EventQueueImpl impl, std::size_t depth,
-                               std::uint64_t events, std::uint64_t seed) {
+template <class Queue>
+QueueResult measure_queue_once(std::size_t depth, std::uint64_t events,
+                               std::uint64_t seed) {
   QueueResult res;
   // Gaps are pre-drawn into a ring so the timed loops measure the queue, not
   // the random-number generator; the ring fits in L2 and is read in order.
@@ -251,7 +267,7 @@ QueueResult measure_queue_once(sim::EventQueueImpl impl, std::size_t depth,
   }
   std::size_t ring = 0;
   const auto next_delta = [&] { return deltas[ring++ & (kRing - 1)]; };
-  sim::EventQueue q(impl);
+  Queue q;
   iba::Cycle now = 0;
 
   const auto make_event = [&](iba::Cycle t) {
@@ -289,12 +305,12 @@ QueueResult measure_queue_once(sim::EventQueueImpl impl, std::size_t depth,
 /// Best of `reps` runs: wall-clock microbenchmarks are noisy downward only
 /// (scheduling, frequency ramps), so the fastest run is the least-disturbed
 /// estimate. The pop-order checksum must agree across every run.
-QueueResult measure_queue(sim::EventQueueImpl impl, std::size_t depth,
-                          std::uint64_t events, std::uint64_t seed,
-                          unsigned reps) {
-  QueueResult best = measure_queue_once(impl, depth, events, seed);
+template <class Queue>
+QueueResult measure_queue(std::size_t depth, std::uint64_t events,
+                          std::uint64_t seed, unsigned reps) {
+  QueueResult best = measure_queue_once<Queue>(depth, events, seed);
   for (unsigned r = 1; r < reps; ++r) {
-    const QueueResult run = measure_queue_once(impl, depth, events, seed);
+    const QueueResult run = measure_queue_once<Queue>(depth, events, seed);
     if (run.checksum != best.checksum) {
       std::cerr << "error: queue replay checksum varies across runs\n";
       std::exit(2);
@@ -312,8 +328,7 @@ struct SimResult {
   double events_per_sec = 0.0;
 };
 
-SimResult measure_sim(const bench::PaperRunConfig& cfg, const char* queue_env) {
-  setenv("IBARB_EVENT_QUEUE", queue_env, 1);
+SimResult measure_sim(const bench::PaperRunConfig& cfg) {
   bench::PaperRun run(cfg, bench::PaperRun::DeferSim{});
   const auto t0 = std::chrono::steady_clock::now();
   run.run();
@@ -321,7 +336,6 @@ SimResult measure_sim(const bench::PaperRunConfig& cfg, const char* queue_env) {
   res.seconds = seconds_since(t0);
   res.events = run.summary.events;
   res.events_per_sec = static_cast<double>(res.events) / res.seconds;
-  unsetenv("IBARB_EVENT_QUEUE");
   return res;
 }
 
@@ -391,212 +405,6 @@ SeriesBenchResult measure_series(std::uint64_t deliveries,
   res.samples_per_sec = static_cast<double>(boundaries) / secs;
   res.boundaries = boundaries;
   res.decimations = data.decimations;
-  return res;
-}
-
-struct ShardObsBenchResult {
-  double single_lane_dps = 0.0;  ///< record_delivery+commit, one lane.
-  double multi_lane_dps = 0.0;   ///< Same stream scattered over 4 lanes.
-  double lane_fold_overhead_pct = 0.0;  ///< Multi-lane slowdown (target <2%).
-  double snapshot_folds_per_sec = 0.0;  ///< Snapshot::merge of 4 shard parts.
-  double snapshot_fold_us = 0.0;        ///< Mean wall cost of one fold.
-};
-
-/// The per-window series merge cost under shard lanes: the same delivery
-/// stream recorded on one lane versus scattered over `lanes` (the shard
-/// workers' pattern), committed every `sample_every` cycles. The committed
-/// bytes are identical either way (tests/test_shard_obs.cpp); this measures
-/// what the lane fold adds per delivery.
-double measure_lane_fold(std::uint64_t deliveries, std::uint64_t sample_every,
-                         std::uint64_t boundaries, std::size_t lanes) {
-  obs::TelemetryRegistry reg;
-  auto& injected = reg.counter("micro.injected");
-  obs::SeriesRecorder::Config sc;
-  sc.sample_every = sample_every;
-  obs::SeriesRecorder rec(reg, sc);
-  rec.set_lanes(lanes);
-  constexpr std::uint32_t kConns = 8;
-  for (std::uint32_t c = 0; c < kConns; ++c)
-    rec.note_connection(c, static_cast<iba::ServiceLevel>(c % 10),
-                        /*qos=*/true, /*deadline=*/5000);
-  const iba::Cycle end = sample_every * boundaries;
-  std::uint64_t ring = 0;
-  constexpr std::size_t kRing = 1u << 12;
-  std::vector<iba::Cycle> delays(kRing);
-  {
-    util::Xoshiro256 rng(29);
-    for (auto& d : delays) d = rng.between(100, 6000);
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < deliveries; ++i) {
-    const iba::Cycle t = i * end / deliveries;
-    if (t > rec.next_due()) rec.advance_to(t);
-    injected.inc();
-    obs::t_series_lane = i % lanes;
-    rec.record_delivery(static_cast<std::uint32_t>(i % kConns),
-                        static_cast<iba::ServiceLevel>(i % 10),
-                        delays[ring++ & (kRing - 1)], /*contracted=*/5000);
-  }
-  obs::t_series_lane = 0;
-  (void)rec.finalize(end);
-  return static_cast<double>(deliveries) / seconds_since(t0);
-}
-
-/// The per-shard registry fold cost: Snapshot::merge over `parts` shard
-/// snapshots shaped like a real run's envelope (shared counter/gauge names,
-/// per-shard histogram bins) — the work the profile probe does once per
-/// telemetry_snapshot() call when the engine is engaged.
-ShardObsBenchResult measure_shard_obs(std::uint64_t deliveries,
-                                      std::uint64_t folds) {
-  ShardObsBenchResult res;
-  // 256 boundaries: the pure sampling regime, no decimation noise.
-  res.single_lane_dps =
-      measure_lane_fold(deliveries, /*sample_every=*/4096,
-                        /*boundaries=*/256, /*lanes=*/1);
-  res.multi_lane_dps =
-      measure_lane_fold(deliveries, /*sample_every=*/4096,
-                        /*boundaries=*/256, /*lanes=*/4);
-  if (res.multi_lane_dps > 0.0)
-    res.lane_fold_overhead_pct =
-        100.0 * (res.single_lane_dps / res.multi_lane_dps - 1.0);
-
-  constexpr unsigned kParts = 4;
-  std::vector<obs::Snapshot> parts(kParts);
-  for (unsigned s = 0; s < kParts; ++s) {
-    auto& p = parts[s];
-    for (unsigned c = 0; c < 32; ++c)
-      p.add_counter("queue.instrument_" + std::to_string(c), 1000 + c + s);
-    for (unsigned g = 0; g < 8; ++g)
-      p.merge_gauge("sim.gauge_" + std::to_string(g), double(g + s),
-                    obs::MergePolicy::kMax);
-    std::uint64_t bins[16] = {};
-    bins[s] = 100 + s;
-    for (unsigned h = 0; h < 4; ++h)
-      p.add_histogram("shard.hist_" + std::to_string(h), bins, 16);
-  }
-  std::uint64_t sink = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t f = 0; f < folds; ++f) {
-    const auto merged = obs::Snapshot::merge(parts);
-    sink += merged.counters.size();
-  }
-  const double secs = seconds_since(t0);
-  volatile std::uint64_t keep = sink;
-  (void)keep;
-  res.snapshot_folds_per_sec = static_cast<double>(folds) / secs;
-  res.snapshot_fold_us = secs * 1e6 / static_cast<double>(folds);
-  return res;
-}
-
-struct ChannelBenchResult {
-  double thread_xfer_per_sec = 0.0;  ///< Raw SPSC ring, producer vs consumer.
-  double burst_per_sec = 0.0;        ///< ShardChannel window bursts w/ spill.
-  double merge_per_sec = 0.0;        ///< Promote: sort + keyed queue insert.
-  std::uint64_t spilled = 0;         ///< Burst items that overflowed the ring.
-};
-
-/// Benchmarks the cross-shard channel exactly as the engine uses it
-/// (sim/shard.cpp): a producer journals pushes and hands pointers through
-/// the SPSC ring; after the window barrier the consumer drains, sorts by
-/// the final (time, key) and inserts into its event queue.
-ChannelBenchResult measure_shard_channel(std::uint64_t items) {
-  ChannelBenchResult res;
-
-  // Raw ring, two threads: the in-window transfer path. On fewer cores
-  // than threads this measures the yield-heavy oversubscribed regime —
-  // still the regime the engine would run in there.
-  {
-    util::SpscQueue<sim::Push*> ring(1024);
-    std::vector<sim::Push> pool(4096);
-    const auto t0 = std::chrono::steady_clock::now();
-    std::thread producer([&] {
-      for (std::uint64_t i = 0; i < items; ++i) {
-        sim::Push* p = &pool[i & 4095];
-        while (!ring.try_push(std::move(p))) std::this_thread::yield();
-      }
-    });
-    std::uint64_t got = 0;
-    sim::Push* v = nullptr;
-    while (got < items) {
-      if (ring.try_pop(v))
-        ++got;
-      else
-        std::this_thread::yield();
-    }
-    producer.join();
-    res.thread_xfer_per_sec =
-        static_cast<double>(items) / seconds_since(t0);
-  }
-
-  // Window bursts through a ShardChannel: push a whole window's worth
-  // (beyond the ring, so the spill engages), then drain ring + spill —
-  // the producer-finishes-then-consumer-drains shape the barrier imposes.
-  constexpr std::size_t kBurst = 4096;
-  {
-    sim::ShardChannel ch;  // default 1024-slot ring: 3/4 of a burst spills
-    std::vector<sim::Push> journal(kBurst);
-    std::vector<sim::Push*> inbox;
-    inbox.reserve(kBurst);
-    const std::uint64_t rounds = std::max<std::uint64_t>(1, items / kBurst);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint64_t r = 0; r < rounds; ++r) {
-      for (auto& p : journal) ch.push(&p);
-      inbox.clear();
-      ch.drain(inbox);
-      if (inbox.size() != kBurst) {
-        std::cerr << "error: shard channel lost items\n";
-        std::exit(2);
-      }
-    }
-    res.burst_per_sec =
-        static_cast<double>(rounds * kBurst) / seconds_since(t0);
-    res.spilled = kBurst - std::min<std::uint64_t>(kBurst, 1024);
-  }
-
-  // Promote: the inbox sorted by final (time, key), then keyed insertion
-  // into the event queue and a full in-order drain (the next window's pops).
-  {
-    sim::EventQueue q(sim::EventQueueImpl::kWheel);
-    std::vector<sim::Push> journal(kBurst);
-    std::vector<sim::Push*> inbox(kBurst);
-    util::Xoshiro256 rng(31);
-    const std::uint64_t rounds =
-        std::max<std::uint64_t>(1, items / (kBurst * 8));
-    iba::Cycle base = 0;
-    std::uint64_t key = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint64_t r = 0; r < rounds; ++r) {
-      // Arrival order is channel order, i.e. effectively random in time.
-      for (std::size_t i = 0; i < kBurst; ++i) {
-        sim::Push& p = journal[i];
-        p.ev.time = base + rng.between(0, 512);
-        p.ev.type = sim::EventType::kLinkDeliver;
-        p.ev.seq = key + 2 * i;  // unique keys in the doubled domain
-        p.seq = p.ev.seq;
-        p.origin = base;
-        inbox[i] = &p;
-      }
-      key += 2 * kBurst;
-      std::sort(inbox.begin(), inbox.end(),
-                [](const sim::Push* a, const sim::Push* b) {
-                  return a->ev.time != b->ev.time ? a->ev.time < b->ev.time
-                                                  : a->seq < b->seq;
-                });
-      for (sim::Push* p : inbox) q.push_keyed(p->ev, p->origin, true);
-      iba::Cycle prev = base;
-      for (std::size_t i = 0; i < kBurst; ++i) {
-        const sim::Event e = q.pop();
-        if (e.time < prev) {
-          std::cerr << "error: promote produced out-of-order pops\n";
-          std::exit(2);
-        }
-        prev = e.time;
-      }
-      base += 600;  // next window starts past every event of this one
-    }
-    res.merge_per_sec =
-        static_cast<double>(rounds * kBurst) / seconds_since(t0);
-  }
   return res;
 }
 
@@ -684,10 +492,6 @@ int run_json_harness(int argc, const char* const* argv) {
   const bool skip_sim = cli.get_bool("skip-sim", false);
   const auto series_deliveries = static_cast<std::uint64_t>(
       cli.get_int("series-deliveries", 2'000'000));
-  const auto channel_items = static_cast<std::uint64_t>(
-      cli.get_int("channel-items", 4'000'000));
-  const auto shard_obs_folds = static_cast<std::uint64_t>(
-      cli.get_int("shard-obs-folds", 50'000));
   const auto snapshot_small = static_cast<std::uint64_t>(
       cli.get_int("snapshot-small", 1'000));
   const auto snapshot_large = static_cast<std::uint64_t>(
@@ -702,21 +506,17 @@ int run_json_harness(int argc, const char* const* argv) {
 
   std::cerr << "[bench_micro] queue replay (depth " << depth << ", "
             << queue_events << " events, best of " << queue_reps
-            << ") x2 impls...\n";
-  const QueueResult wheel = measure_queue(sim::EventQueueImpl::kWheel, depth,
-                                          queue_events, /*seed=*/2027,
-                                          queue_reps);
-  const QueueResult heap = measure_queue(sim::EventQueueImpl::kBinaryHeap,
-                                         depth, queue_events, /*seed=*/2027,
-                                         queue_reps);
+            << "), wheel and heap baseline...\n";
+  const QueueResult wheel = measure_queue<sim::EventQueue>(
+      depth, queue_events, /*seed=*/2027, queue_reps);
+  const QueueResult heap = measure_queue<HeapQueue>(
+      depth, queue_events, /*seed=*/2027, queue_reps);
   const bool order_match = wheel.checksum == heap.checksum;
 
-  SimResult sim_wheel, sim_heap;
+  SimResult sim_fig4;
   if (!skip_sim) {
-    std::cerr << "[bench_micro] fig4-style sim, wheel queue...\n";
-    sim_wheel = measure_sim(sim_cfg, "wheel");
-    std::cerr << "[bench_micro] fig4-style sim, heap queue...\n";
-    sim_heap = measure_sim(sim_cfg, "heap");
+    std::cerr << "[bench_micro] fig4-style sim...\n";
+    sim_fig4 = measure_sim(sim_cfg);
   }
 
   std::cerr << "[bench_micro] arbiter decision rates...\n";
@@ -748,15 +548,6 @@ int run_json_harness(int argc, const char* const* argv) {
   const SeriesBenchResult series_decim =
       measure_series(series_deliveries, /*sample_every=*/4096,
                      /*boundaries=*/16384);
-
-  std::cerr << "[bench_micro] shard channel (" << channel_items
-            << " items) x3 paths...\n";
-  const ChannelBenchResult channel = measure_shard_channel(channel_items);
-
-  std::cerr << "[bench_micro] shard observability (lane fold + "
-            << shard_obs_folds << " snapshot folds)...\n";
-  const ShardObsBenchResult shard_obs =
-      measure_shard_obs(series_deliveries, shard_obs_folds);
 
   std::cerr << "[bench_micro] snapshot round-trip at " << snapshot_small
             << " and " << snapshot_large << " live connections...\n";
@@ -794,21 +585,11 @@ int run_json_harness(int argc, const char* const* argv) {
   });
   if (!skip_sim) {
     report.figure("sim_fig4", [&](util::JsonWriter& w) {
-      const auto sim_obj = [&w](const SimResult& r) {
-        w.begin_object();
-        w.kv("events", r.events);
-        w.kv("seconds", r.seconds);
-        w.kv("events_per_sec", r.events_per_sec);
-        w.end_object();
-      };
       w.begin_object();
       w.kv("switches", static_cast<std::uint64_t>(sim_cfg.switches));
-      w.key("wheel");
-      sim_obj(sim_wheel);
-      w.key("heap");
-      sim_obj(sim_heap);
-      w.kv("speedup", sim_wheel.events_per_sec / sim_heap.events_per_sec);
-      w.kv("events_identical", sim_wheel.events == sim_heap.events);
+      w.kv("events", sim_fig4.events);
+      w.kv("seconds", sim_fig4.seconds);
+      w.kv("events_per_sec", sim_fig4.events_per_sec);
       w.end_object();
     });
   }
@@ -836,29 +617,6 @@ int run_json_harness(int argc, const char* const* argv) {
     // >1 means the decimation path costs measurable per-delivery overhead.
     w.kv("decimation_slowdown",
          series_flat.deliveries_per_sec / series_decim.deliveries_per_sec);
-    w.end_object();
-  });
-  report.figure("shard_channel", [&](util::JsonWriter& w) {
-    w.begin_object();
-    w.kv("items", channel_items);
-    w.kv("thread_xfer_per_sec", channel.thread_xfer_per_sec);
-    w.kv("burst_per_sec", channel.burst_per_sec);
-    w.kv("spilled_per_burst", channel.spilled);
-    w.kv("merge_per_sec", channel.merge_per_sec);
-    w.end_object();
-  });
-  report.figure("shard_obs", [&](util::JsonWriter& w) {
-    w.begin_object();
-    w.kv("deliveries", series_deliveries);
-    w.kv("single_lane_deliveries_per_sec", shard_obs.single_lane_dps);
-    w.kv("four_lane_deliveries_per_sec", shard_obs.multi_lane_dps);
-    // What the per-window lane fold adds per delivery; the acceptance
-    // target is <2% at 4 shards (wall clock, so report-only — not a gate).
-    w.kv("lane_fold_overhead_pct", shard_obs.lane_fold_overhead_pct);
-    w.kv("snapshot_parts", std::uint64_t{4});
-    w.kv("snapshot_folds", shard_obs_folds);
-    w.kv("snapshot_folds_per_sec", shard_obs.snapshot_folds_per_sec);
-    w.kv("snapshot_fold_us", shard_obs.snapshot_fold_us);
     w.end_object();
   });
   report.figure("snapshot_roundtrip", [&](util::JsonWriter& w) {
@@ -896,22 +654,14 @@ int run_json_harness(int argc, const char* const* argv) {
             << " Mev/s, speedup " << wheel.events_per_sec / heap.events_per_sec
             << "x, order " << (order_match ? "identical" : "DIVERGED") << "\n";
   if (!skip_sim)
-    std::cout << "sim     wheel " << sim_wheel.events_per_sec / 1e6
-              << " Mev/s, heap " << sim_heap.events_per_sec / 1e6
-              << " Mev/s, speedup "
-              << sim_wheel.events_per_sec / sim_heap.events_per_sec << "x\n";
+    std::cout << "sim     " << sim_fig4.events_per_sec / 1e6 << " Mev/s ("
+              << sim_fig4.events << " events)\n";
   std::cout << "arbiter dense " << dense_rate / 1e6 << " Mdec/s, sparse "
             << sparse_rate / 1e6 << " Mdec/s\n";
   std::cout << "series  flat " << series_flat.deliveries_per_sec / 1e6
             << " Mdlv/s, decimating "
             << series_decim.deliveries_per_sec / 1e6 << " Mdlv/s ("
             << series_decim.decimations << " decimations)\n";
-  std::cout << "channel xfer " << channel.thread_xfer_per_sec / 1e6
-            << " Mit/s, burst " << channel.burst_per_sec / 1e6
-            << " Mit/s, merge " << channel.merge_per_sec / 1e6 << " Mit/s\n";
-  std::cout << "shardobs lane fold " << shard_obs.lane_fold_overhead_pct
-            << "% overhead at 4 lanes, snapshot fold "
-            << shard_obs.snapshot_fold_us << " us (4 parts)\n";
   std::cout << "snapshot " << snap_small.connections << " conns "
             << snap_small.bytes / 1024 << " KiB save " << snap_small.save_ms
             << " ms restore " << snap_small.restore_ms << " ms; "

@@ -2,10 +2,7 @@
 
 #include "network/routing_engine.hpp"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -31,37 +28,11 @@ PaperRunConfig config_from_cli(const util::Cli& cli, PaperRunConfig base) {
     base.min_rx_packets = 10;
     base.warmup = 500'000;
   }
-  const auto xbar = cli.get("crossbar", "");
-  if (!xbar.empty()) {
-    const auto impl = sched::parse_crossbar_impl(xbar);
-    if (!impl) {
-      throw std::invalid_argument(
-          "flag --crossbar: unknown crossbar scheduler '" + xbar +
-          "' (expected " + std::string(sched::kCrossbarImplNames) + ")");
-    }
-    base.crossbar = *impl;
-  }
-  const auto shards = cli.get_int("shards", 0);
-  if (shards < 0 || shards > 64) {
-    throw std::invalid_argument(
-        "flag --shards expects a shard count in [0, 64], got " +
-        std::to_string(shards));
-  }
-  base.shards = static_cast<unsigned>(shards);
-  base.topo = cli.get("topo", base.topo);
-  if (!base.topo.empty()) {
-    try {
-      (void)network::TopologySpec::parse(base.topo);
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument("flag --topo: " + std::string(e.what()));
-    }
-  }
-  base.routing = cli.get("routing", base.routing);
-  if (!base.routing.empty() && !network::is_routing_engine(base.routing)) {
-    throw std::invalid_argument(
-        "flag --routing: unknown routing engine '" + base.routing +
-        "' (expected " + std::string(network::kRoutingEngineNames) + ")");
-  }
+  const util::StdFlags sf = cli.std_flags();
+  if (!sf.crossbar.empty())
+    base.crossbar = *sched::parse_crossbar_impl(sf.crossbar);
+  if (!sf.topo.empty()) base.topo = sf.topo;
+  if (!sf.routing.empty()) base.routing = sf.routing;
   return base;
 }
 
@@ -80,37 +51,6 @@ network::TopologySpec resolve_topology(const PaperRunConfig& cfg) {
 std::string resolve_routing(const PaperRunConfig& cfg) {
   return cfg.routing.empty() ? network::routing_engine_from_env()
                              : cfg.routing;
-}
-
-unsigned shards_from_env() {
-  // IBARB_SHARDS=N reruns any bench binary on the parallel core (CI diffs
-  // sharded vs sequential output). Unset or empty means sequential; any
-  // other value must be a shard count, or a CI differential leg would
-  // quietly compare the sequential core against itself.
-  const char* v = std::getenv("IBARB_SHARDS");
-  if (v == nullptr || *v == '\0') return 1;
-  char* end = nullptr;
-  errno = 0;
-  const long n = std::strtol(v, &end, 10);
-  if (*v < '0' || *v > '9' || *end != '\0' || errno != 0 || n < 1 ||
-      n > 64)
-    throw std::invalid_argument(
-        std::string("IBARB_SHARDS: expected a shard count in [1, 64], got '") +
-        v + "'");
-  return static_cast<unsigned>(n);
-}
-
-sim::EventQueueImpl queue_impl_from_env() {
-  // IBARB_EVENT_QUEUE=heap|wheel lets CI diff the two queue implementations
-  // through an unmodified bench binary. Unset or empty means the default
-  // wheel; anything else is rejected rather than read as the wheel.
-  const char* v = std::getenv("IBARB_EVENT_QUEUE");
-  if (v == nullptr || *v == '\0') return sim::EventQueueImpl::kWheel;
-  if (std::strcmp(v, "wheel") == 0) return sim::EventQueueImpl::kWheel;
-  if (std::strcmp(v, "heap") == 0) return sim::EventQueueImpl::kBinaryHeap;
-  throw std::invalid_argument(
-      std::string("IBARB_EVENT_QUEUE: unknown event queue '") + v +
-      "' (expected wheel|heap)");
 }
 
 PaperRun::PaperRun(PaperRunConfig c) : PaperRun(c, DeferSim{}) { run(); }
@@ -133,8 +73,6 @@ PaperRun::PaperRun(PaperRunConfig c, DeferSim) : cfg(c) {
   sc.max_payload_bytes = iba::mtu_bytes(cfg.mtu);
   sc.buffer_packets = cfg.buffer_packets;
   sc.seed = cfg.seed;
-  sc.queue_impl = queue_impl_from_env();
-  sc.shards = cfg.shards != 0 ? cfg.shards : shards_from_env();
   sc.crossbar_impl =
       cfg.crossbar ? *cfg.crossbar : sched::crossbar_impl_from_env();
   sc.trace_capacity = cfg.trace_capacity;

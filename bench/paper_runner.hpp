@@ -50,9 +50,6 @@ struct PaperRunConfig {
   /// IBARB_CROSSBAR env (then wrr) — flag beats env beats default, the same
   /// precedence every knob here follows.
   std::optional<sched::CrossbarImpl> crossbar;
-  /// Parallel simulation shards (--shards); 0 defers to IBARB_SHARDS, then
-  /// 1 (sequential). Output is byte-identical for any value.
-  unsigned shards = 0;
   /// Topology spec ("family:k=v,...", network/registry.hpp). Engaged by
   /// --topo; empty defers to IBARB_TOPO, then the paper's irregular family.
   /// For the irregular family, --switches/--seed still fill in any
@@ -65,20 +62,9 @@ struct PaperRunConfig {
 };
 
 /// Applies the common bench flags (--switches --mtu --seed --packets
-/// --warmup --quick) on top of the defaults.
+/// --warmup --quick) on top of the defaults. --crossbar/--topo/--routing
+/// come from cli.std_flags(), which validates them.
 PaperRunConfig config_from_cli(const util::Cli& cli, PaperRunConfig base = {});
-
-/// IBARB_EVENT_QUEUE=heap|wheel selects the event-queue implementation
-/// through an unmodified bench binary (CI diffs the two); unset or empty
-/// means the default wheel. Throws std::invalid_argument naming the value
-/// for anything else.
-sim::EventQueueImpl queue_impl_from_env();
-
-/// IBARB_SHARDS=N selects the parallel-core shard count through an
-/// unmodified bench binary (CI reruns the suite sharded); unset or empty
-/// means 1 (sequential). Throws std::invalid_argument naming the value
-/// unless it is an integer in [1, 64].
-unsigned shards_from_env();
 
 /// The topology spec a config resolves to (flag beats IBARB_TOPO beats
 /// irregular), with --switches/--seed filled into an irregular spec's unset

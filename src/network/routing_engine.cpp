@@ -214,7 +214,7 @@ class MinimalVlEscapeEngine final : public RoutingEngine {
  private:
   /// Shared mesh/torus dimension-order pass. Switch with coordinates
   /// (c[0], c[1], ...) has dense index sum(c[d] * stride[d]); ports are
-  /// (2d) = -dim d, (2d+1) = +dim d — matching make_mesh2d/torus wiring
+  /// (2d) = -dim d, (2d+1) = +dim d — matching gen::mesh2d/torus wiring
   /// (0=W, 1=E, 2=N, 3=S, then -z, +z).
   static Routes route_torus(const FabricGraph& g,
                             std::vector<std::uint32_t> dim, bool wrap) {
@@ -380,7 +380,7 @@ class FattreeDmodkEngine final : public RoutingEngine {
       throw std::runtime_error("topology hint dims do not match fabric");
 
     // Dense index: spines 0..spines-1 then leaves; leaf port t reaches
-    // spine t, spine port l reaches leaf l (make_fat_tree wiring).
+    // spine t, spine port l reaches leaf l (gen::fat_tree2 wiring).
     for (std::uint32_t lt = 0; lt < leaves; ++lt) {
       const std::uint32_t t = spines + lt;
       for (std::uint32_t sp = 0; sp < spines; ++sp)

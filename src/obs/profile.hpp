@@ -5,10 +5,10 @@
 // profile.* (profile.<phase>_ms gauges and profile.<phase>_calls counters)
 // and are quarantined from the determinism contract — the Simulator
 // registers the profile.* probe only when SimConfig::profile is set,
-// SeriesRecorder skips quarantined columns (profile.* and the shard.*
-// engine-health family, obs::is_quarantined_name), and no CI byte-compare
-// ever passes --profile. Phases nest (kDispatch wraps the
-// inner three), so totals overlap by design; read kDispatch as inclusive.
+// SeriesRecorder skips the quarantined profile.* columns
+// (obs::is_quarantined_name), and no CI byte-compare ever passes --profile.
+// Phases nest (kDispatch wraps the inner three), so totals overlap by
+// design; read kDispatch as inclusive.
 //
 // ScopedTimer on a null profiler compiles to a single branch, so the hot
 // paths pay nothing when profiling is off.
@@ -46,16 +46,6 @@ class PhaseProfiler {
   void add(Phase p, std::uint64_t ns) noexcept {
     ns_[p] += ns;
     ++calls_[p];
-  }
-
-  /// Folds another profiler's totals into this one — used to combine the
-  /// per-shard-worker profilers with the orchestrator's before publishing
-  /// the profile.* probe, so one fleet-wide total survives any shard count.
-  void merge(const PhaseProfiler& other) noexcept {
-    for (std::size_t p = 0; p < kPhaseCount; ++p) {
-      ns_[p] += other.ns_[p];
-      calls_[p] += other.calls_[p];
-    }
   }
 
   double total_ms(Phase p) const noexcept {

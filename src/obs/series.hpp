@@ -21,11 +21,9 @@
 //  * delay statistics use Log2Histogram — exact integer bucket counts, no
 //    floating accumulation — so merging windows is associative and lossless.
 //
-// profile.* instruments (wall-clock self-profiler, profile.hpp) and shard.*
-// instruments (shard-engine health, sim/shard.cpp) are excluded from the
-// sampled columns: they are the two quarantined telemetry families allowed
-// to differ between identical runs (wall-clock) or between shard counts
-// (engine internals).
+// profile.* instruments (wall-clock self-profiler, profile.hpp) are excluded
+// from the sampled columns: they are the quarantined telemetry family allowed
+// to differ between identical runs.
 #pragma once
 
 #include <array>
@@ -43,18 +41,10 @@ namespace ibarb::obs {
 
 class TelemetryRegistry;
 
-/// True for instrument names in a quarantined family — `profile.*`
-/// (wall-clock self-profiler) and `shard.*` (parallel-engine health, which
-/// includes wall-clock waits and shard-count-dependent internals). These
-/// names never enter the sampled series columns and are excluded from
-/// determinism byte-compares.
+/// True for instrument names in the quarantined `profile.*` family
+/// (wall-clock self-profiler). These names never enter the sampled series
+/// columns and are excluded from determinism byte-compares.
 bool is_quarantined_name(std::string_view name) noexcept;
-
-/// The calling thread's delivery lane (see SeriesRecorder::set_lanes).
-/// Lane 0 is the default; shard workers set it to their shard id for the
-/// duration of a parallel window so concurrent record_delivery calls never
-/// touch the same window map.
-extern constinit thread_local std::size_t t_series_lane;
 
 /// 64-bucket base-2 histogram with exact integer counts. Bucket i holds
 /// values whose bit_width is i (bucket 0 = the value 0, bucket 1 = 1,
@@ -220,16 +210,6 @@ class SeriesRecorder {
   /// repeated calls with non-decreasing limits commit each boundary once.
   void advance_to(std::uint64_t limit);
 
-  /// Splits the per-SL delivery windows into `n` independent lanes so `n`
-  /// threads can call record_delivery concurrently, each under its own
-  /// `t_series_lane`. commit() folds the lanes in ascending (lane, SL)
-  /// order; the per-SL fold (histogram add, rx sum, max of max) is
-  /// commutative and associative, so the committed bytes are identical to
-  /// a single-lane recording of the same deliveries. Grows only — lanes
-  /// are never dropped mid-run. Call between windows, never concurrently
-  /// with the hot hooks.
-  void set_lanes(std::size_t n);
-
   // --- Hot hooks (called by Metrics / faults; no-ops when disabled) --------
 
   /// Declares connection metadata before any samples land on it.
@@ -291,10 +271,7 @@ class SeriesRecorder {
 
   std::vector<ConnWindow> cur_conn_;
   std::vector<ConnSeries> conns_;
-  /// Per-lane current-window SL accumulators; lanes_[0] is the sequential
-  /// lane, one extra per shard worker under set_lanes(). commit() folds
-  /// them into one map before emission.
-  std::vector<std::map<unsigned, SlWindow>> lanes_;
+  std::map<unsigned, SlWindow> cur_sl_;  ///< Current-window SL accumulators.
   std::map<unsigned, SlSeries> sls_;
 
   std::vector<SeriesTransition> transitions_;

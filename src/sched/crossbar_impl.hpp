@@ -12,7 +12,7 @@
 namespace ibarb::sched {
 
 /// Which crossbar-scheduler implementation a switch instantiates
-/// (factory-selected like sim::EventQueueImpl — see docs/SCHEDULERS.md).
+/// (see docs/SCHEDULERS.md).
 enum class CrossbarImpl : std::uint8_t {
   kWrr,     ///< Rotating-priority input/VL round-robin (pre-refactor path).
   kIslip,   ///< iSLIP(k): iterative grant/accept with pointer desync.

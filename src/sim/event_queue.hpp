@@ -3,33 +3,24 @@
 // Ties at the same cycle are served in insertion order (monotonic sequence
 // number), which makes every simulation bit-reproducible for a given seed.
 //
-// Two interchangeable implementations share one slab pool of Event storage
-// (events are moved in on push and moved out on pop — never copied, and the
-// structures themselves only shuffle 4-byte pool indices):
-//
-//  * kWheel (default) — a bucketed timing wheel of 2^16 one-cycle buckets
-//    covering the sliding window [base, base + 2^16). Every bucket is a FIFO
-//    of pool indices; because the window is no wider than the wheel, a bucket
-//    holds at most one distinct timestamp at a time, so FIFO order *is*
-//    sequence order. A hierarchical three-level occupancy bitmap finds the
-//    next non-empty bucket in O(1). Events beyond the horizon (or, defensively,
-//    behind `base`) overflow into a binary min-heap ordered by (time, seq);
-//    pop is a two-way merge of the wheel head and the heap head under the
-//    exact (time, seq) key, so the global order is identical to a single
-//    totally-ordered queue. See docs/PERF.md for the determinism argument.
-//
-//  * kBinaryHeap — the pre-wheel behaviour (a std::priority_queue of whole
-//    Events ordered by (time, seq), which re-copies ~sizeof(Event) bytes per
-//    sift level on every push and pop), kept selectable at runtime for
-//    differential tests and old-vs-new benchmarks. Its one change from the
-//    pre-wheel code: pop() moves the top event out instead of copying it.
+// Events live in one slab pool (moved in on push and moved out on pop —
+// never copied; the structures themselves only shuffle 4-byte pool indices)
+// and are ordered by a bucketed timing wheel of 2^16 one-cycle buckets
+// covering the sliding window [base, base + 2^16). Every bucket is a FIFO of
+// pool indices; because the window is no wider than the wheel, a bucket holds
+// at most one distinct timestamp at a time, so FIFO order *is* sequence
+// order. A hierarchical three-level occupancy bitmap finds the next non-empty
+// bucket in O(1). Events beyond the horizon (or, defensively, behind `base`)
+// overflow into a binary min-heap ordered by (time, seq); pop is a two-way
+// merge of the wheel head and the heap head under the exact (time, seq) key,
+// so the global order is identical to a single totally-ordered queue. See
+// docs/PERF.md for the determinism argument.
 #pragma once
 
 #include <array>
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "iba/packet.hpp"
@@ -44,13 +35,6 @@ enum class EventType : std::uint8_t {
   kXferComplete,  ///< Crossbar transfer into (node, port) output finished.
   kProbe,         ///< Periodic bookkeeping (phase control).
   kControl,       ///< Simulator::call_at callback (aux = callback id).
-  /// Parallel engine only: upstream credit return for a crossbar transfer
-  /// that may cross a shard boundary (node/port = upstream output, aux =
-  /// wire bytes). The sequential core releases the credits inline at the
-  /// start of on_xfer_complete; the shard engine reifies that half as its
-  /// own event, keyed to pop immediately before the transfer-completion it
-  /// belongs to (src/sim/shard.hpp).
-  kCreditRelease,
 };
 
 struct Event {
@@ -64,11 +48,6 @@ struct Event {
   iba::Packet packet;     ///< Payload for kLinkDeliver / kXferComplete.
 };
 
-enum class EventQueueImpl : std::uint8_t {
-  kWheel,       ///< Bucketed timing wheel + overflow heap (default).
-  kBinaryHeap,  ///< Legacy binary heap (reference/differential baseline).
-};
-
 class EventQueue {
  public:
   /// Always-on plain counters published to obs::TelemetryRegistry by the
@@ -78,34 +57,21 @@ class EventQueue {
   struct Stats {
     std::uint64_t pushes = 0;
     std::uint64_t pops = 0;
-    /// Wheel mode only: events pushed beyond the 2^16-cycle horizon.
+    /// Events pushed beyond the 2^16-cycle horizon.
     std::uint64_t overflow_pushes = 0;
-    std::uint64_t peak_size = 0;
-    /// Wheel mode only: bin i counts pushes whose distance-to-window-start
-    /// had bit_width i (bin 0 = "due now", last bin = saturated).
+    /// Bin i counts pushes whose distance-to-window-start had bit_width i
+    /// (bin 0 = "due now", last bin = saturated).
     std::array<std::uint64_t, kResidencyBins> residency_log2{};
   };
 
-  explicit EventQueue(EventQueueImpl impl = EventQueueImpl::kWheel)
-      : impl_(impl) {
-    if (impl_ == EventQueueImpl::kWheel) {
-      buckets_.resize(kWheelBuckets);
-      bits0_.assign(kWheelBuckets / 64, 0);
-      bits1_.assign(kWheelBuckets / (64 * 64), 0);
-    }
-  }
-
-  EventQueueImpl impl() const noexcept { return impl_; }
+  EventQueue()
+      : buckets_(kWheelBuckets),
+        bits0_(kWheelBuckets / 64, 0),
+        bits1_(kWheelBuckets / (64 * 64), 0) {}
 
   void push(Event e) {
     e.seq = next_seq_++;
     ++stats_.pushes;
-    if (impl_ == EventQueueImpl::kBinaryHeap) {
-      heap_.push(std::move(e));
-      ++size_;
-      if (size_ > stats_.peak_size) stats_.peak_size = size_;
-      return;
-    }
     const iba::Cycle t = e.time;
     const std::uint64_t seq = e.seq;
     const std::uint32_t idx = alloc_slot(std::move(e));
@@ -130,133 +96,17 @@ class EventQueue {
     }
     peek_valid_ = false;
     ++size_;
-    if (size_ > stats_.peak_size) stats_.peak_size = size_;
-  }
-
-  /// Parallel-shard push (src/sim/shard.cpp): `e.seq` arrives preset with
-  /// the engine's replayed sequential key instead of being stamped from the
-  /// monotone counter, and residency/overflow statistics are measured from
-  /// `origin` — the cycle the event was created at — so a sharded run's
-  /// telemetry matches the sequential run's no matter when a window barrier
-  /// handed the event over. `count_stats` is false for engine-internal
-  /// events (credit releases, queue migration) that have no sequential
-  /// counterpart. Unlike push(), a wheel bucket is kept sorted by seq:
-  /// same-cycle events from different creator nodes of one shard can arrive
-  /// out of key order, and bucket order must *be* (time, seq) order for the
-  /// merge to stay deterministic. Keys arrive nearly sorted, so the
-  /// tail-append fast path dominates.
-  void push_keyed(Event e, iba::Cycle origin, bool count_stats) {
-    if (count_stats) ++stats_.pushes;
-    if (impl_ == EventQueueImpl::kBinaryHeap) {
-      heap_.push(std::move(e));
-      ++size_;
-      if (size_ > stats_.peak_size) stats_.peak_size = size_;
-      return;
-    }
-    const iba::Cycle t = e.time;
-    const std::uint64_t seq = e.seq;
-    const std::uint32_t idx = alloc_slot(std::move(e));
-    if (count_stats) {
-      // The sequential core pushes with base_ == creation cycle, so its
-      // residency bin and overflow counter are functions of (t - origin).
-      const iba::Cycle dist = t >= origin ? t - origin : 0;
-      if (dist < kWheelBuckets) {
-        const auto bin = static_cast<std::size_t>(std::bit_width(dist));
-        ++stats_.residency_log2[bin < kResidencyBins ? bin : kResidencyBins - 1];
-      } else {
-        ++stats_.overflow_pushes;
-        ++stats_.residency_log2[kResidencyBins - 1];
-      }
-    }
-    if (t >= base_ && t - base_ < kWheelBuckets) {
-      const auto b = static_cast<std::uint32_t>(t & kWheelMask);
-      Bucket& bk = buckets_[b];
-      if (bk.head == kNull) {
-        bk.head = bk.tail = idx;
-        set_bit(b);
-      } else if (pool_[bk.tail].seq <= seq) {
-        next_[bk.tail] = idx;
-        bk.tail = idx;
-      } else if (pool_[bk.head].seq > seq) {
-        next_[idx] = bk.head;
-        bk.head = idx;
-      } else {
-        std::uint32_t p = bk.head;
-        while (next_[p] != kNull && pool_[next_[p]].seq <= seq) p = next_[p];
-        next_[idx] = next_[p];
-        next_[p] = idx;
-        if (next_[idx] == kNull) bk.tail = idx;
-      }
-      ++wheel_count_;
-    } else {
-      overflow_.push_back(HeapNode{t, seq, idx});
-      sift_up(overflow_.size() - 1);
-    }
-    peek_valid_ = false;
-    ++size_;
-    if (size_ > stats_.peak_size) stats_.peak_size = size_;
-  }
-
-  /// Raises the monotone tie-break counter to at least `floor`, so events
-  /// push()ed after a shard-engine drain-back sort after every migrated key.
-  void ensure_seq_floor(std::uint64_t floor) {
-    if (next_seq_ < floor) next_seq_ = floor;
-  }
-
-  /// Next value the monotone counter would stamp. The shard engine reads it
-  /// on adopt() to seed its replayed counter above every existing key.
-  std::uint64_t next_seq() const noexcept { return next_seq_; }
-
-  /// Counts an event the shard engine executed without ever queueing it (a
-  /// same-window "nursery" event, src/sim/shard.hpp): one push and one pop,
-  /// with the residency bin the sequential core would have recorded for an
-  /// event created at `origin` and due at `t`. Keeps the queue telemetry a
-  /// pure function of the event order rather than of window placement.
-  void count_bypass(iba::Cycle t, iba::Cycle origin) {
-    ++stats_.pushes;
-    ++stats_.pops;
-    if (impl_ == EventQueueImpl::kBinaryHeap) return;  // heap: no residency
-    const iba::Cycle dist = t >= origin ? t - origin : 0;
-    if (dist < kWheelBuckets) {
-      const auto bin = static_cast<std::size_t>(std::bit_width(dist));
-      ++stats_.residency_log2[bin < kResidencyBins ? bin : kResidencyBins - 1];
-    } else {
-      ++stats_.overflow_pushes;
-      ++stats_.residency_log2[kResidencyBins - 1];
-    }
   }
 
   bool empty() const noexcept { return size_ == 0; }
   std::size_t size() const noexcept { return size_; }
 
-  const Event& top() const {
-    if (impl_ == EventQueueImpl::kBinaryHeap) return heap_.top();
-    return pool_[peek().idx];
-  }
+  const Event& top() const { return pool_[peek().idx]; }
 
   const Stats& stats() const noexcept { return stats_; }
 
   Event pop() {
     ++stats_.pops;
-    return pop_impl();
-  }
-
-  /// Shard-engine migration pop: identical order, but not counted — the
-  /// event was already popped (or will be popped) once by whichever engine
-  /// executes it, and telemetry must see exactly one pop per handled event.
-  Event pop_uncounted() { return pop_impl(); }
-
- private:
-  Event pop_impl() {
-    if (impl_ == EventQueueImpl::kBinaryHeap) {
-      // priority_queue exposes the top read-only; moving out of it is safe
-      // (pop() only shuffles elements, never reads the payload) and skips one
-      // whole-Event copy per pop.
-      Event e = std::move(const_cast<Event&>(heap_.top()));
-      heap_.pop();
-      --size_;
-      return e;
-    }
     const Peek p = peek();
     peek_valid_ = false;
     if (p.from_wheel) {
@@ -278,7 +128,7 @@ class EventQueue {
   }
 
  private:
-  // --- Shared slab pool ----------------------------------------------------
+  // --- Slab pool -----------------------------------------------------------
 
   static constexpr std::uint32_t kNull = 0xFFFF'FFFFu;
 
@@ -295,7 +145,7 @@ class EventQueue {
     return idx;
   }
 
-  // --- Overflow / legacy binary heap over (time, seq, pool index) ----------
+  // --- Overflow binary heap over (time, seq, pool index) -------------------
 
   struct HeapNode {
     iba::Cycle time;
@@ -431,23 +281,12 @@ class EventQueue {
     return Peek{wi, true, b};
   }
 
-  // --- Legacy binary-heap mode --------------------------------------------
-
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
-  EventQueueImpl impl_;
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;  ///< kBinaryHeap.
   std::vector<Event> pool_;
   std::vector<std::uint32_t> next_;  ///< Per-slot intrusive bucket link.
   std::vector<std::uint32_t> free_;
-  std::vector<HeapNode> overflow_;  ///< Far-future/past events (kWheel).
+  std::vector<HeapNode> overflow_;  ///< Far-future/past events.
 
-  std::vector<Bucket> buckets_;      ///< Empty in kBinaryHeap mode.
+  std::vector<Bucket> buckets_;
   std::vector<std::uint64_t> bits0_; ///< One bit per bucket.
   std::vector<std::uint64_t> bits1_; ///< One bit per bits0_ word.
   std::uint64_t bits2_ = 0;          ///< One bit per bits1_ word.

@@ -8,8 +8,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "sim/shard.hpp"
-
 namespace ibarb::sim {
 
 namespace {
@@ -18,9 +16,6 @@ namespace {
 /// reserved/invalid in IBA). The subnet manager mirrors this assignment.
 iba::Lid lid_of(iba::NodeId host) { return static_cast<iba::Lid>(host + 1); }
 iba::NodeId node_of(iba::Lid lid) { return static_cast<iba::NodeId>(lid - 1); }
-
-/// True while the calling thread executes a shard window (sim/shard.cpp).
-bool in_parallel() { return t_shard != nullptr; }
 
 }  // namespace
 
@@ -34,14 +29,13 @@ class XbarView final {
   XbarView(Simulator& sim, std::uint32_t switch_index)
       : sim_(sim),
         sw_(sim.switches_[switch_index]),
-        base_(sim.port_base_[sw_.node]),
-        out_(sim.out_.data() + base_) {}
+        out_(sim.out_.data() + sim.port_base_[sw_.node]) {}
 
   unsigned port_count() const {
     return static_cast<unsigned>(sw_.in.size());
   }
 
-  iba::Cycle now() const { return sim_.now_cur(); }
+  iba::Cycle now() const { return sim_.now_; }
 
   bool input_ready(iba::PortIndex in) const {
     const InputPort& ip = sw_.in[in];
@@ -95,50 +89,27 @@ class XbarView final {
     const auto xfer_cycles = std::max<iba::Cycle>(
         1, static_cast<iba::Cycle>(static_cast<double>(link_cycles) /
                                    sim_.cfg_.crossbar_speedup));
-    const std::uint32_t wire = head.wire_bytes();
     Event done;
-    done.time = sim_.now_cur() + sim_.cfg_.crossbar_delay + xfer_cycles;
+    done.time = sim_.now_ + sim_.cfg_.crossbar_delay + xfer_cycles;
     done.type = EventType::kXferComplete;
     done.node = sw_.node;
     done.port = out;
     done.vl = vl;
     done.aux = in;
-    const iba::Cycle done_time = done.time;
-    sim_.push_event(std::move(done));
-
-    if (in_parallel()) {
-      // The upstream credit release this transfer will perform is fully
-      // determined now. on_xfer_complete applies it inline — before its
-      // local work — on the sequential path; here it becomes its own event
-      // so it can cross a shard boundary. The shard engine keys it
-      // immediately *before* the kXferComplete above, no event anywhere can
-      // order between the two halves, and they touch disjoint port state —
-      // so the split is unobservable.
-      const network::PortRef up = sim_.feeder_[base_ + in].at;
-      Event rel;
-      rel.time = done_time;
-      rel.type = EventType::kCreditRelease;
-      rel.node = up.node;
-      rel.port = up.port;
-      rel.vl = vl;
-      rel.aux = wire;
-      sim_.push_event(std::move(rel));
-    }
+    sim_.queue_.push(std::move(done));
   }
 
  private:
   Simulator& sim_;
   SwitchState& sw_;
-  std::uint32_t base_;  ///< slot(sw_.node, 0).
-  OutputPort* out_;     ///< The switch's output sides, by port.
+  OutputPort* out_;  ///< The switch's output sides, by port.
 };
 
 static_assert(sched::CrossbarView<XbarView>);
 
 Simulator::Simulator(const network::FabricGraph& graph,
                      const network::Routes& routes, SimConfig cfg)
-    : graph_(graph), routes_(routes), cfg_(cfg), queue_(cfg.queue_impl),
-      trace_(cfg.trace_capacity) {
+    : graph_(graph), routes_(routes), cfg_(cfg), trace_(cfg.trace_capacity) {
   buffer_capacity_bytes_ =
       cfg_.buffer_packets *
       (cfg_.max_payload_bytes + iba::kPacketOverheadBytes);
@@ -201,16 +172,11 @@ Simulator::Simulator(const network::FabricGraph& graph,
   // output ports; per-VL output occupancy peaks keep the "which VL starved?"
   // question answerable without per-port blow-up.
   telemetry_.add_probe([this](obs::Snapshot& snap) {
-    EventQueue::Stats qs = queue_.stats();
-    qs.pops -= serial_release_pops_;
-    if (engine_) engine_->fold_stats(qs);
+    const EventQueue::Stats& qs = queue_.stats();
     snap.add_counter("queue.pushes", qs.pushes);
     snap.add_counter("queue.pops", qs.pops);
     snap.add_counter("queue.overflow_pushes", qs.overflow_pushes);
-    // Pending-event census sampled at fixed kPendingSampleEvery marks — the
-    // one queue-depth figure the sequential and the sharded engine compute
-    // identically (a true per-push peak is tie-order-sensitive and would
-    // break the shard-count-invariance of snapshots).
+    // Pending-event census sampled at fixed kPendingSampleEvery marks.
     snap.merge_gauge("queue.peak_size", static_cast<double>(pending_peak_),
                      obs::MergePolicy::kMax);
     snap.add_histogram("queue.residency_log2", qs.residency_log2.data(),
@@ -300,55 +266,21 @@ Simulator::Simulator(const network::FabricGraph& graph,
     metrics_.set_series(series_.get());
   }
 
-  if (cfg_.shards == 0) cfg_.shards = 1;
-
   if (cfg_.profile) {
     profiler_ = std::make_unique<obs::PhaseProfiler>();
-    // profile.* and shard.* are the quarantined families: published only
-    // when profiling is opted into, never sampled into the series, never
-    // part of a determinism byte-compare. Under --shards the per-worker
-    // profilers fold into one fleet-wide total, and the shard engine
-    // publishes its health counters alongside.
+    // profile.* is the quarantined family: published only when profiling
+    // is opted into, never sampled into the series, never part of a
+    // determinism byte-compare.
     telemetry_.add_probe([this](obs::Snapshot& snap) {
-      obs::PhaseProfiler folded = *profiler_;
-      if (engine_) engine_->fold_profile(folded);
       for (int i = 0; i < obs::PhaseProfiler::kPhaseCount; ++i) {
         const auto p = static_cast<obs::PhaseProfiler::Phase>(i);
         const std::string base =
             std::string("profile.") + obs::PhaseProfiler::name(p);
-        snap.merge_gauge(base + "_ms", folded.total_ms(p),
+        snap.merge_gauge(base + "_ms", profiler_->total_ms(p),
                          obs::MergePolicy::kSum);
-        snap.add_counter(base + "_calls", folded.calls(p));
+        snap.add_counter(base + "_calls", profiler_->calls(p));
       }
-      if (engine_) engine_->publish_shard_stats(snap);
     });
-  }
-}
-
-Simulator::~Simulator() = default;
-
-iba::Cycle Simulator::now_cur() const {
-  return t_shard != nullptr ? t_shard->now : now_;
-}
-
-void Simulator::push_event(Event e) {
-  if (engine_ && engine_->active()) {
-    const iba::NodeId home = event_home_node(e);
-    engine_->route_push(std::move(e), home);
-    return;
-  }
-  queue_.push(std::move(e));
-}
-
-iba::NodeId Simulator::event_home_node(const Event& e) const {
-  switch (e.type) {
-    case EventType::kGenerate:
-      return flows_[e.aux].spec.src_host;
-    case EventType::kProbe:
-    case EventType::kControl:
-      return 0;  // Only ever migrated, never executed in parallel.
-    default:
-      return e.node;
   }
 }
 
@@ -356,96 +288,6 @@ void Simulator::sample_pending(std::uint64_t pending, iba::Cycle through) {
   if (pending > pending_peak_) pending_peak_ = pending;
   next_pending_mark_ =
       (through / kPendingSampleEvery + 1) * kPendingSampleEvery;
-}
-
-bool Simulator::parallel_ready() {
-  if (cfg_.shards <= 1) return false;
-  // Hazards the parallel engine cannot reproduce byte-identically: inline
-  // callbacks with cross-shard visibility (fault hooks, delivery listeners,
-  // call_at controls) and purge barriers whose bookkeeping is shared mutable
-  // state. Observers — tracing, series sampling, profiling — are NOT
-  // hazards: each shard records into its own plane and the orchestrator
-  // merges them deterministically at window barriers (docs/PARALLEL.md).
-  const char* hazard = nullptr;
-  if (hooks_ != nullptr) {
-    hazard = "fault-hooks";
-  } else if (delivery_listener_ != nullptr) {
-    hazard = "delivery-listener";
-  } else if (!controls_.empty()) {
-    hazard = "pending-controls";
-  } else if (!purged_flows_.empty()) {
-    hazard = "purge-barriers";
-  }
-  if (hazard != nullptr) {
-    fallback_reason_ = hazard;
-    if (!shard_fallback_warned_) {
-      shard_fallback_warned_ = true;
-      std::fprintf(stderr,
-                   "ibarb: --shards %u requested, but %s cannot be reproduced "
-                   "in parallel; using the sequential core (output is "
-                   "unchanged)\n",
-                   cfg_.shards, hazard);
-    }
-    if (engine_ && engine_->active()) engine_->surrender(queue_);
-    return false;
-  }
-  if (!engine_) {
-    std::string error;
-    engine_ = ShardEngine::create(*this, cfg_.shards, error);
-    if (!engine_) {
-      fallback_reason_ = "unshardable-topology";
-      if (!shard_fallback_warned_) {
-        shard_fallback_warned_ = true;
-        std::fprintf(stderr, "ibarb: %s\n", error.c_str());
-      }
-      cfg_.shards = 1;
-      return false;
-    }
-  }
-  if (!engine_->active()) {
-    engine_->adopt(queue_);
-    // Give every shard worker its own series delivery lane, folded at each
-    // commit — the one SeriesRecorder hot hook that is not already
-    // single-writer under the shard partition.
-    if (series_) series_->set_lanes(engine_->shards());
-  }
-  fallback_reason_.clear();
-  return true;
-}
-
-ShardLoadStats Simulator::shard_load() const {
-  ShardLoadStats out;
-  if (engine_) engine_->fill_load(out);
-  return out;
-}
-
-void Simulator::export_shard_tracks(
-    std::vector<obs::PhaseSpan>& spans,
-    std::vector<obs::CounterTrack>& counters) const {
-  if (engine_) engine_->export_tracks(spans, counters);
-}
-
-obs::PhaseProfiler* Simulator::cur_profiler() const {
-  const ShardCtx* const c = t_shard;
-  return c != nullptr ? c->profiler.get() : profiler_.get();
-}
-
-void Simulator::record_trace(iba::Cycle time, TraceEvent event,
-                             iba::NodeId node, iba::PortIndex port,
-                             iba::VirtualLane vl, const iba::Packet& p) {
-  if (!trace_.enabled()) return;
-  ShardCtx* const c = t_shard;
-  if (c == nullptr) {
-    trace_.record(time, event, node, port, vl, p);
-    return;
-  }
-  // Parallel window: park the record in the shard's window-local buffer,
-  // tagged with the emitting handler's identity; the orchestrator merges
-  // every buffer into the shared ring in final (time, key) order after
-  // barrier D, reproducing the sequential ring byte for byte.
-  c->trace_buf.push_back(ShardCtx::PendingTrace{
-      TraceRecord{time, event, node, port, vl, p.id, p.connection},
-      c->handler_known, c->handler_seq, c->handler_self});
 }
 
 std::uint32_t Simulator::checked_slot(iba::NodeId node,
@@ -546,18 +388,12 @@ std::uint32_t Simulator::add_flow(const FlowSpec& spec) {
   metrics_.connections.push_back(cm);
   if (series_) series_->note_connection(idx, spec.sl, spec.qos, spec.deadline);
 
-  if (engine_)
-    engine_->note_flow_wire(spec.external
-                                ? iba::kPacketOverheadBytes
-                                : spec.payload_bytes +
-                                      iba::kPacketOverheadBytes);
-
   if (!spec.external) {
     Event e;
     e.time = std::max(spec.start_offset, now_);
     e.type = EventType::kGenerate;
     e.aux = idx;
-    push_event(std::move(e));
+    queue_.push(std::move(e));
   }
   return idx;
 }
@@ -579,7 +415,7 @@ void Simulator::resume_flow(std::uint32_t flow_index) {
   e.time = now_;
   e.type = EventType::kGenerate;
   e.aux = flow_index;
-  push_event(std::move(e));
+  queue_.push(std::move(e));
 }
 
 void Simulator::set_flow_overdrive(std::uint32_t flow_index, double factor) {
@@ -606,7 +442,7 @@ void Simulator::schedule_flow(std::uint32_t flow_index,
       next = f.next_nominal;
       break;
     case GeneratorKind::kPoisson:
-      next = now_cur() + static_cast<iba::Cycle>(
+      next = now_ + static_cast<iba::Cycle>(
                              f.rng.exponential(static_cast<double>(
                                  scaled(f.spec.interval))) + 1.0);
       break;
@@ -616,7 +452,7 @@ void Simulator::schedule_flow(std::uint32_t flow_index,
         const auto peak = static_cast<iba::Cycle>(
             static_cast<double>(scaled(f.spec.interval)) *
                 f.spec.on_fraction + 1.0);
-        next = now_cur() + peak;
+        next = now_ + peak;
       } else {
         // Draw a new burst; the silence restores the long-run mean rate.
         const double burst =
@@ -625,7 +461,7 @@ void Simulator::schedule_flow(std::uint32_t flow_index,
         const double off_mean =
             static_cast<double>(scaled(f.spec.interval)) * burst *
             (1.0 - f.spec.on_fraction);
-        next = now_cur() +
+        next = now_ +
                static_cast<iba::Cycle>(f.rng.exponential(off_mean) + 1.0);
       }
       break;
@@ -636,7 +472,7 @@ void Simulator::schedule_flow(std::uint32_t flow_index,
   e.time = next;
   e.type = EventType::kGenerate;
   e.aux = flow_index;
-  push_event(std::move(e));
+  queue_.push(std::move(e));
 }
 
 void Simulator::on_generate(std::uint32_t flow_index) {
@@ -644,7 +480,7 @@ void Simulator::on_generate(std::uint32_t flow_index) {
   f.generator_scheduled = false;
   if (f.stopped) return;  // torn down: neither generate nor reschedule
   const FlowSpec& spec = f.spec;
-  const iba::Cycle now = now_cur();
+  const iba::Cycle now = now_;
 
   iba::Packet p;
   p.connection = flow_index;
@@ -654,11 +490,8 @@ void Simulator::on_generate(std::uint32_t flow_index) {
   p.payload_bytes = spec.payload_bytes;
   p.sequence = f.next_sequence++;
   // Generated packets derive their id from (flow, sequence) — never from a
-  // shared counter — so ids are identical whether a window runs on the
-  // sequential core or on any shard worker, and trace files byte-compare
-  // across shard counts. External injections (inject_external) keep the
-  // monotone counter; those ids stay below 2^32, so the domains never
-  // collide.
+  // shared counter. External injections (inject_external) keep the monotone
+  // counter; those ids stay below 2^32, so the domains never collide.
   p.id = ((static_cast<std::uint64_t>(flow_index) + 1) << 32) |
          (p.sequence + 1);
   p.injected_at = now;
@@ -670,7 +503,7 @@ void Simulator::on_generate(std::uint32_t flow_index) {
   OutputPort& host = output_port(spec.src_host, 0);
   const iba::VirtualLane vl =
       spec.management ? iba::kManagementVl : host.sl_map.map(spec.sl);
-  record_trace(now, TraceEvent::kInject, spec.src_host, 0, vl, p);
+  trace_.record(now, TraceEvent::kInject, spec.src_host, 0, vl, p);
   host.queues.push(vl, std::move(p));
   try_transmit(spec.src_host, 0);
 
@@ -686,7 +519,7 @@ void Simulator::try_transmit(iba::NodeId node, iba::PortIndex port) {
 
   const auto ready = op.ready_bytes();
   const auto decision = [&] {
-    obs::ScopedTimer timer(cur_profiler(), obs::PhaseProfiler::kArbitration);
+    obs::ScopedTimer timer(profiler_.get(), obs::PhaseProfiler::kArbitration);
     return op.arbiter.arbitrate(ready);
   }();
   if (!decision) return;
@@ -695,8 +528,8 @@ void Simulator::try_transmit(iba::NodeId node, iba::PortIndex port) {
   const auto wire = p.wire_bytes();
   op.credits.consume(decision->vl, wire);
   op.tx_busy = true;
-  const iba::Cycle now = now_cur();
-  record_trace(now, TraceEvent::kLinkTx, node, port, decision->vl, p);
+  const iba::Cycle now = now_;
+  trace_.record(now, TraceEvent::kLinkTx, node, port, decision->vl, p);
 
   auto ser = iba::serialization_cycles(wire, op.link.rate);
   if (hooks_) ser = hooks_->stretch_serialization(node, port, ser);
@@ -707,7 +540,7 @@ void Simulator::try_transmit(iba::NodeId node, iba::PortIndex port) {
   done.type = EventType::kTxComplete;
   done.node = node;
   done.port = port;
-  push_event(std::move(done));
+  queue_.push(std::move(done));
 
   Event arrive;
   arrive.time = now + ser + op.link.propagation_delay;
@@ -716,7 +549,7 @@ void Simulator::try_transmit(iba::NodeId node, iba::PortIndex port) {
   arrive.port = op.peer.port;
   arrive.vl = decision->vl;
   arrive.packet = std::move(p);
-  push_event(std::move(arrive));
+  queue_.push(std::move(arrive));
 }
 
 void Simulator::on_tx_complete(iba::NodeId node, iba::PortIndex port) {
@@ -725,17 +558,17 @@ void Simulator::on_tx_complete(iba::NodeId node, iba::PortIndex port) {
 }
 
 void Simulator::on_link_deliver(const Event& e) {
-  const iba::Cycle now = now_cur();
+  const iba::Cycle now = now_;
   auto verdict = FaultHooks::RxVerdict::kDeliver;
   if (hooks_ && !e.packet.management) {
-    obs::ScopedTimer timer(cur_profiler(), obs::PhaseProfiler::kFaultHooks);
+    obs::ScopedTimer timer(profiler_.get(), obs::PhaseProfiler::kFaultHooks);
     verdict = hooks_->on_link_rx(e.node, e.port, e.packet);
   }
   if (verdict == FaultHooks::RxVerdict::kDrop) {
     // Discarded on arrival (corrupted past the CRC, or a drop-fault window).
     // The receiver still frees the notional buffer, so upstream credits are
     // returned — a lost packet must not wedge the sender.
-    record_trace(now, TraceEvent::kDrop, e.node, e.port, e.vl, e.packet);
+    trace_.record(now, TraceEvent::kDrop, e.node, e.port, e.vl, e.packet);
     metrics_.record_drop(e.packet.connection);
     release_upstream(slot(e.node, e.port), e.vl, e.packet.wire_bytes());
     return;
@@ -746,12 +579,10 @@ void Simulator::on_link_deliver(const Event& e) {
     return;
   }
   // Host sink: record, then return credits to the upstream switch port
-  // immediately (hosts drain their receive buffers at line rate). The
-  // upstream port is the host's own uplink switch — same shard — so this
-  // stays inline in parallel windows too.
-  record_trace(now, TraceEvent::kDeliver, e.node, e.port, e.vl, e.packet);
+  // immediately (hosts drain their receive buffers at line rate).
+  trace_.record(now, TraceEvent::kDeliver, e.node, e.port, e.vl, e.packet);
   {
-    obs::ScopedTimer timer(cur_profiler(), obs::PhaseProfiler::kMetrics);
+    obs::ScopedTimer timer(profiler_.get(), obs::PhaseProfiler::kMetrics);
     metrics_.record_delivery(e.packet.connection, e.packet, now);
   }
   if (delivery_listener_) delivery_listener_(e.packet, now);
@@ -773,12 +604,8 @@ void Simulator::on_xfer_complete(const Event& e) {
 
   iba::Packet p = ip.buffers.pop(e.vl);
 
-  // Input buffer space freed: return credits to whoever feeds this port. In
-  // a parallel window the feeder may live on another shard, so the release
-  // travels as the kCreditRelease event XbarView::grant emitted alongside
-  // this one (keyed right before it — see on_credit_release).
-  if (!in_parallel())
-    release_upstream(slot(e.node, in_port), e.vl, p.wire_bytes());
+  // Input buffer space freed: return credits to whoever feeds this port.
+  release_upstream(slot(e.node, in_port), e.vl, p.wire_bytes());
 
   // Enqueue at the output on the VL this port's SLtoVL table dictates —
   // unless recovery abandoned this connection on this port (the packet was
@@ -788,11 +615,11 @@ void Simulator::on_xfer_complete(const Event& e) {
       p.management ? iba::kManagementVl : op.sl_map.map(p.sl);
   if (!p.management && !purged_flows_.empty() &&
       purged_flows_.count({op.flat_id, p.connection}) > 0) {
-    record_trace(now_cur(), TraceEvent::kDrop, e.node, e.port, out_vl, p);
+    trace_.record(now_, TraceEvent::kDrop, e.node, e.port, out_vl, p);
     metrics_.record_drop(p.connection);
     ++purged_late_;
   } else {
-    record_trace(now_cur(), TraceEvent::kXbar, e.node, e.port, out_vl, p);
+    trace_.record(now_, TraceEvent::kXbar, e.node, e.port, out_vl, p);
     op.queues.push(out_vl, std::move(p));
   }
 
@@ -806,12 +633,6 @@ void Simulator::on_xfer_complete(const Event& e) {
 void Simulator::schedule_crossbar(std::uint32_t switch_index, int only_input) {
   XbarView view(*this, switch_index);
   sched::schedule(xbar_[switch_index], view, only_input);
-}
-
-void Simulator::on_credit_release(const Event& e) {
-  OutputPort& op = output_port(e.node, e.port);
-  op.credits.release(e.vl, e.aux);
-  try_transmit(e.node, e.port);
 }
 
 void Simulator::handle(const Event& e) {
@@ -838,9 +659,6 @@ void Simulator::handle(const Event& e) {
       fn();
       break;
     }
-    case EventType::kCreditRelease:
-      on_credit_release(e);
-      break;
   }
 }
 
@@ -851,7 +669,7 @@ void Simulator::call_at(iba::Cycle t, std::function<void()> fn) {
   e.time = std::max(t, now_);
   e.type = EventType::kControl;
   e.aux = id;
-  push_event(std::move(e));
+  queue_.push(std::move(e));
 }
 
 std::uint64_t Simulator::inject_external(std::uint32_t flow_index,
@@ -883,7 +701,7 @@ std::uint64_t Simulator::inject_external(std::uint32_t flow_index,
   OutputPort& host = output_port(spec.src_host, 0);
   const iba::VirtualLane vl =
       spec.management ? iba::kManagementVl : host.sl_map.map(spec.sl);
-  record_trace(now_, TraceEvent::kInject, spec.src_host, 0, vl, p);
+  trace_.record(now_, TraceEvent::kInject, spec.src_host, 0, vl, p);
   host.queues.push(vl, std::move(p));
   try_transmit(spec.src_host, 0);
   return id;
@@ -904,7 +722,7 @@ std::uint64_t Simulator::flush_output_queue(iba::NodeId node,
     const auto vl = static_cast<iba::VirtualLane>(
         std::countr_zero(op.queues.occupancy()));
     iba::Packet p = op.queues.pop(vl);
-    record_trace(now_, TraceEvent::kDrop, node, port, vl, p);
+    trace_.record(now_, TraceEvent::kDrop, node, port, vl, p);
     metrics_.record_drop(p.connection);
     ++flushed;
   }
@@ -921,7 +739,7 @@ std::uint64_t Simulator::purge_flow_from_output(iba::NodeId node,
   for (unsigned v = 0; v < iba::kMaxVirtualLanes; ++v) {
     const auto vl = static_cast<iba::VirtualLane>(v);
     for (auto& p : op.queues.extract_connection(vl, flow)) {
-      record_trace(now_, TraceEvent::kDrop, node, port, vl, p);
+      trace_.record(now_, TraceEvent::kDrop, node, port, vl, p);
       metrics_.record_drop(p.connection);
       ++purged;
     }
@@ -939,44 +757,28 @@ void Simulator::clear_flow_purge(iba::NodeId node, iba::PortIndex port,
 }
 
 void Simulator::run_until(iba::Cycle t) {
-  if (parallel_ready()) {
-    engine_->run_until(t);
-    return;
-  }
   while (!queue_.empty() && queue_.top().time <= t) {
     // Pending-event census at fixed marks (the queue.peak_size gauge): the
     // first event at or past a mark triggers a sample *before* it pops, so
-    // the count covers everything still scheduled from the mark onwards —
-    // the same census the parallel engine takes at its window barriers.
+    // the count covers everything still scheduled from the mark onwards.
     if (queue_.top().time >= next_pending_mark_)
-      sample_pending(queue_.size() - serial_pending_releases_,
-                     queue_.top().time);
+      sample_pending(queue_.size(), queue_.top().time);
     // A series boundary B samples the state after every event with time
     // <= B, so commit pending boundaries before popping the first event
-    // that crosses one — the pop itself belongs to the next window. This
-    // is the same commit point the parallel orchestrator uses between
-    // windows, which keeps sampled queue counters byte-identical.
+    // that crosses one — the pop itself belongs to the next window.
     if (series_ && queue_.top().time > series_->next_due()) {
       obs::ScopedTimer timer(profiler_.get(), obs::PhaseProfiler::kSeries);
       series_->advance_to(queue_.top().time);
     }
     const Event e = queue_.pop();
     assert(e.time >= now_ && "time must not run backwards");
-    // A credit release handed back by ShardEngine::surrender: engine
-    // bookkeeping with no sequential counterpart, excluded from the pop and
-    // event counters exactly like the shard workers exclude theirs.
-    if (e.type == EventType::kCreditRelease) {
-      ++serial_release_pops_;
-      --serial_pending_releases_;
-    }
     now_ = e.time;
-    if (e.type != EventType::kCreditRelease) ++events_;
+    ++events_;
     obs::ScopedTimer timer(profiler_.get(), obs::PhaseProfiler::kDispatch);
     handle(e);
   }
   if (now_ < t) now_ = t;
-  if (t >= next_pending_mark_)
-    sample_pending(queue_.size() - serial_pending_releases_, t);
+  if (t >= next_pending_mark_) sample_pending(queue_.size(), t);
   // All events <= t are handled, so every boundary <= t is complete — flush
   // them even if no later event arrives to cross the boundary (idempotent;
   // run_paper_phases calls run_until in probe steps).

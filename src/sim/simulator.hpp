@@ -9,7 +9,6 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -25,11 +24,6 @@
 #include "sim/metrics.hpp"
 #include "sim/switch.hpp"
 #include "sim/trace.hpp"
-
-namespace ibarb::obs {
-struct CounterTrack;
-struct PhaseSpan;
-}  // namespace ibarb::obs
 
 namespace ibarb::sim {
 
@@ -56,27 +50,10 @@ struct SimConfig {
   /// excluded from series sampling and from every byte-compare in CI.
   bool profile = false;
   std::uint64_t seed = 1;
-  /// Event-queue implementation. kBinaryHeap keeps the pre-wheel queue
-  /// selectable for differential tests and old-vs-new benchmarks; both
-  /// produce the exact same (time, seq) event order.
-  EventQueueImpl queue_impl = EventQueueImpl::kWheel;
-  /// Crossbar matching policy, factory-selected like queue_impl (env
-  /// IBARB_CROSSBAR, flag --crossbar). kWrr reproduces the pre-refactor
-  /// grant sequence — and so the whole event order — bit-for-bit.
+  /// Crossbar matching policy (env IBARB_CROSSBAR, flag --crossbar). kWrr
+  /// reproduces the pre-refactor grant sequence — and so the whole event
+  /// order — bit-for-bit.
   sched::CrossbarImpl crossbar_impl = sched::CrossbarImpl::kWrr;
-  /// Number of switch-affine shard workers for the parallel engine
-  /// (--shards / IBARB_SHARDS; see docs/PARALLEL.md). 1 keeps the classic
-  /// sequential loop. Values > 1 engage src/sim/shard.hpp for runs the
-  /// engine can reproduce byte-identically. Observers — tracing, series
-  /// sampling, profiling — ride the parallel path: each shard records into
-  /// its own plane and the orchestrator merges them deterministically at
-  /// window barriers. Anything the engine cannot reproduce (fault hooks,
-  /// delivery listeners, pending call_at controls, active purge barriers,
-  /// an unshardable topology) falls back to the sequential path — with a
-  /// one-shot stderr diagnostic and the reason exposed via
-  /// Simulator::shard_fallback_reason() — so output is invariant in this
-  /// knob by construction.
-  unsigned shards = 1;
 };
 
 struct RunSummary {
@@ -116,27 +93,12 @@ class FaultHooks {
   }
 };
 
-class ShardEngine;
-
-/// Per-shard load counters for bench_scaling's shard_balance figure:
-/// parallel arrays indexed by shard id. Empty when the parallel engine
-/// never engaged. Events are deterministic; the wait fields are wall-clock
-/// and therefore quarantined from determinism compares.
-struct ShardLoadStats {
-  std::vector<std::uint64_t> events;
-  std::vector<std::uint64_t> barrier_wait_ns;
-  std::uint64_t windows = 0;
-  std::uint64_t orchestrator_wait_ns = 0;
-};
-
 class Simulator {
   friend class XbarView;  ///< One switch's sched::CrossbarView (.cpp).
-  friend class ShardEngine;  ///< Parallel window engine (sim/shard.hpp).
 
  public:
   Simulator(const network::FabricGraph& graph, const network::Routes& routes,
             SimConfig cfg);
-  ~Simulator();  ///< Out-of-line: ShardEngine is incomplete here.
 
   /// The telemetry probe registered at construction captures `this`.
   Simulator(const Simulator&) = delete;
@@ -276,30 +238,6 @@ class Simulator {
   /// Runs all probes and returns the deterministic instrument snapshot.
   obs::Snapshot telemetry_snapshot() { return telemetry_.snapshot(); }
 
-  /// The shard count the run is actually using: SimConfig::shards, pinned
-  /// back to 1 once an unshardable topology forced the sequential fallback.
-  /// Lets tests assert the parallel engine really engaged (or refused)
-  /// instead of trusting the requested flag.
-  unsigned effective_shards() const noexcept { return cfg_.shards; }
-
-  /// Why the last run_until took the sequential core although --shards > 1
-  /// was requested: one of "fault-hooks", "delivery-listener",
-  /// "pending-controls", "purge-barriers", "unshardable-topology". Empty
-  /// while the parallel engine is engaged — and always empty when only one
-  /// shard was requested in the first place.
-  const std::string& shard_fallback_reason() const noexcept {
-    return fallback_reason_;
-  }
-
-  /// Per-shard load/wait counters for the shard_balance figure; empty
-  /// vectors when the parallel engine never engaged.
-  ShardLoadStats shard_load() const;
-
-  /// Appends the per-worker Perfetto tracks (recorded under --profile with
-  /// shards > 1) for obs::write_chrome_trace; no-op otherwise.
-  void export_shard_tracks(std::vector<obs::PhaseSpan>& spans,
-                           std::vector<obs::CounterTrack>& counters) const;
-
   /// The time-series recorder, or null when SimConfig::sample_every == 0.
   /// The fault/recovery layer stamps state transitions through this; benches
   /// call finalize() on it after their last run_until.
@@ -311,40 +249,10 @@ class Simulator {
   void on_link_deliver(const Event& e);
   void on_tx_complete(iba::NodeId node, iba::PortIndex port);
   void on_xfer_complete(const Event& e);
-  /// Parallel engine only: applies a reified upstream credit return (the
-  /// half of on_xfer_complete that crosses a shard boundary).
-  void on_credit_release(const Event& e);
 
-  // --- Parallel-engine plumbing (src/sim/shard.hpp) -----------------------
-
-  /// All handler pushes go through here: straight into queue_ on the
-  /// sequential path, keyed and routed to the owning shard when the engine
-  /// holds the events.
-  void push_event(Event e);
-  /// The clock handlers must read: the executing shard's when inside a
-  /// parallel window (thread-local), the global now_ otherwise.
-  iba::Cycle now_cur() const;
-  /// The node whose shard owns (and whose worker executes) an event.
-  iba::NodeId event_home_node(const Event& e) const;
-  /// Decides sequential vs parallel for the next run_until: builds/activates
-  /// the engine when shards > 1 and no hazard is present, or surrenders the
-  /// events back to queue_ (warning once and pinning shards = 1 when the
-  /// topology itself cannot be sharded).
-  bool parallel_ready();
   /// Records a pending-event census (the queue.peak_size gauge) and advances
-  /// the mark past `through`. Both engines call this at identical points.
+  /// the mark past `through`.
   void sample_pending(std::uint64_t pending, iba::Cycle through);
-  /// Every trace emission goes through here: straight into the ring on the
-  /// sequential path; inside a parallel window, into the executing shard's
-  /// buffer (tagged with the handler identity) for the deterministic merge
-  /// after barrier D.
-  void record_trace(iba::Cycle time, TraceEvent event, iba::NodeId node,
-                    iba::PortIndex port, iba::VirtualLane vl,
-                    const iba::Packet& p);
-  /// The profiler a ScopedTimer must charge: the executing shard worker's
-  /// inside a parallel window, the simulator's otherwise. Null (timer
-  /// no-ops) unless SimConfig::profile.
-  obs::PhaseProfiler* cur_profiler() const;
 
   void try_transmit(iba::NodeId node, iba::PortIndex port);
   /// Runs the switch's crossbar scheduler (sched::AnyCrossbar) over an
@@ -381,26 +289,11 @@ class Simulator {
   std::uint64_t events_ = 0;
   std::uint64_t next_packet_id_ = 1;
 
-  /// Lazily-built parallel engine (cfg_.shards > 1); owns the pending
-  /// events whenever engine_->active().
-  std::unique_ptr<ShardEngine> engine_;
-  bool shard_fallback_warned_ = false;
-  /// See shard_fallback_reason().
-  std::string fallback_reason_;
-  /// Pending-event census for the queue.peak_size gauge, sampled at fixed
-  /// cycle marks so sequential and sharded runs publish the same value (a
-  /// true per-push peak is tie-order-sensitive).
+  /// Pending-event census for the queue.peak_size gauge, taken when the
+  /// clock first reaches each fixed cycle mark (not a per-push peak).
   static constexpr iba::Cycle kPendingSampleEvery = 4096;
   std::uint64_t pending_peak_ = 0;
   iba::Cycle next_pending_mark_ = kPendingSampleEvery;
-  /// kCreditRelease events executed on the sequential path (only possible
-  /// after a ShardEngine::surrender handed them back): their queue pops are
-  /// engine bookkeeping with no sequential counterpart, so the snapshot
-  /// probe subtracts them — the serial twin of ShardCtx::internal_pops.
-  std::uint64_t serial_release_pops_ = 0;
-  /// kCreditRelease events currently in queue_ (same provenance), excluded
-  /// from the pending-event census like ShardCtx::pending_releases.
-  std::uint64_t serial_pending_releases_ = 0;
 
   FaultHooks* hooks_ = nullptr;
   /// Active purge barriers: (flat output port, connection). A packet of a

@@ -140,13 +140,6 @@ StdFlags Cli::std_flags(std::uint64_t default_seed) const {
         "flag --crossbar: unknown crossbar scheduler '" + f.crossbar +
         "' (expected " + std::string(sched::kCrossbarImplNames) + ")");
   }
-  const auto shards = get_int("shards", 0);
-  if (shards < 0 || shards > 64) {
-    throw std::invalid_argument(
-        "flag --shards expects a shard count in [0, 64], got " +
-        std::to_string(shards));
-  }
-  f.shards = static_cast<unsigned>(shards);
   f.topo = get("topo", "");
   if (!f.topo.empty()) {
     try {

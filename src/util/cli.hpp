@@ -26,9 +26,6 @@ namespace ibarb::util {
 ///   --quiet             suppress progress/timing chatter on stderr
 ///   --crossbar IMPL     crossbar scheduler (wrr|islip|matrix|abr); absent
 ///                       defers to IBARB_CROSSBAR, then wrr
-///   --shards N          parallel simulation shards inside one experiment
-///                       (0/absent defers to IBARB_SHARDS, then 1 =
-///                       sequential); output is byte-identical for any N
 ///   --topo SPEC         topology spec "family:k=v,..." (irregular|single|
 ///                       line|mesh2d|torus2d|torus3d|fattree|fattree2|
 ///                       dragonfly); absent defers to IBARB_TOPO, then
@@ -52,9 +49,6 @@ struct StdFlags {
   /// Validated scheduler name, or empty when the flag was absent (callers
   /// then fall back to sched::crossbar_impl_from_env()).
   std::string crossbar;
-  /// Simulation shard count, or 0 when the flag was absent (callers then
-  /// fall back to bench::shards_from_env()).
-  unsigned shards = 0;
   /// Validated topology spec string, or empty when the flag was absent
   /// (callers then fall back to network::topology_spec_from_env()).
   std::string topo;

@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "paper_runner.hpp"
 #include "util/thread_pool.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -184,90 +182,12 @@ TEST(Cli, StdFlagsMarksBlockAsQueried) {
   EXPECT_EQ(cli.unused_flags(), "--oops");
 }
 
-/// Saves and restores the bench env knobs around each test.
-class EnvKnobTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    for (auto& [name, value, set] : saved_) {
-      const char* old = std::getenv(name);
-      set = old != nullptr;
-      if (set) value = old;
-    }
-  }
-  void TearDown() override {
-    for (const auto& [name, value, set] : saved_) {
-      if (set)
-        setenv(name, value.c_str(), 1);
-      else
-        unsetenv(name);
-    }
-  }
-
-  /// The std::invalid_argument message `fn` throws ("" if it returns).
-  template <class F>
-  static std::string rejection(F fn) {
-    try {
-      (void)fn();
-    } catch (const std::invalid_argument& e) {
-      return e.what();
-    }
-    return "";
-  }
-
- private:
-  struct Saved {
-    const char* name;
-    std::string value;
-    bool set = false;
-  };
-  Saved saved_[2] = {{"IBARB_SHARDS", "", false},
-                     {"IBARB_EVENT_QUEUE", "", false}};
-};
-
-TEST_F(EnvKnobTest, ShardsAcceptsCountsAndDefaultsToSequential) {
-  unsetenv("IBARB_SHARDS");
-  EXPECT_EQ(bench::shards_from_env(), 1u);
-  setenv("IBARB_SHARDS", "", 1);
-  EXPECT_EQ(bench::shards_from_env(), 1u);
-  setenv("IBARB_SHARDS", "4", 1);
-  EXPECT_EQ(bench::shards_from_env(), 4u);
-  setenv("IBARB_SHARDS", "64", 1);
-  EXPECT_EQ(bench::shards_from_env(), 64u);
-}
-
-TEST_F(EnvKnobTest, ShardsRejectsAnythingElseByName) {
-  // A typo must never quietly run the sequential core in a leg that is
-  // meant to compare it against the parallel one.
-  for (const char* bad : {"four", "4x", "0", "65", "-2", " 4"}) {
-    setenv("IBARB_SHARDS", bad, 1);
-    const std::string why = rejection([] { return bench::shards_from_env(); });
-    EXPECT_NE(why.find("IBARB_SHARDS"), std::string::npos) << bad;
-    EXPECT_NE(why.find(std::string("'") + bad + "'"), std::string::npos)
-        << bad << ": " << why;
-  }
-}
-
-TEST_F(EnvKnobTest, EventQueueAcceptsBothNamesAndDefaultsToWheel) {
-  unsetenv("IBARB_EVENT_QUEUE");
-  EXPECT_EQ(bench::queue_impl_from_env(), sim::EventQueueImpl::kWheel);
-  setenv("IBARB_EVENT_QUEUE", "", 1);
-  EXPECT_EQ(bench::queue_impl_from_env(), sim::EventQueueImpl::kWheel);
-  setenv("IBARB_EVENT_QUEUE", "wheel", 1);
-  EXPECT_EQ(bench::queue_impl_from_env(), sim::EventQueueImpl::kWheel);
-  setenv("IBARB_EVENT_QUEUE", "heap", 1);
-  EXPECT_EQ(bench::queue_impl_from_env(), sim::EventQueueImpl::kBinaryHeap);
-}
-
-TEST_F(EnvKnobTest, EventQueueRejectsAnythingElseByName) {
-  for (const char* bad : {"Heap", "WHEEL", "binary-heap", "heap "}) {
-    setenv("IBARB_EVENT_QUEUE", bad, 1);
-    const std::string why =
-        rejection([] { return bench::queue_impl_from_env(); });
-    EXPECT_NE(why.find("IBARB_EVENT_QUEUE"), std::string::npos) << bad;
-    EXPECT_NE(why.find(std::string("'") + bad + "'"), std::string::npos)
-        << bad << ": " << why;
-    EXPECT_NE(why.find("wheel|heap"), std::string::npos) << why;
-  }
+TEST(Cli, StdFlagsLeavesRemovedShardFlagUnused) {
+  // The parallel simulation core was removed together with its flag; a
+  // leftover use of that flag is reported like any typo.
+  const auto cli = make({"--shards", "4", "--jobs", "2"});
+  (void)cli.std_flags();
+  EXPECT_EQ(cli.unused_flags(), "--shards");
 }
 
 }  // namespace

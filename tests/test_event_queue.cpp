@@ -86,24 +86,23 @@ TEST(EventQueue, PacketPayloadSurvives) {
   EXPECT_EQ(out.packet.payload_bytes, 256u);
 }
 
-// --- Differential suite: wheel vs legacy heap vs a reference model ---------
+// --- Differential suite: timing wheel vs a sorted reference model --------
 //
-// Both implementations must produce the exact same (time, insertion-order)
-// event sequence under any interleaving of pushes and pops — that equality is
-// what lets benches diff old-vs-new queue runs byte-for-byte.
+// The queue must produce the exact (time, insertion-order) event sequence of
+// a single totally-ordered queue under any interleaving of pushes and pops,
+// across the wheel's sliding window and its overflow heap alike.
 
-/// Runs the same operation script against both implementations and a sorted
-/// reference, then checks all three agree on every popped (time, aux) pair.
-/// A script step with `pop == false` pushes an event at `time`; `pop == true`
-/// pops (skipped when empty).
+/// Runs an operation script against the queue and a sorted reference, and
+/// checks both agree on every popped (time, aux) pair. A script step with
+/// `pop == false` pushes an event at `time`; `pop == true` pops (skipped when
+/// empty).
 struct Step {
   bool pop = false;
   iba::Cycle time = 0;
 };
 
 void run_differential(const std::vector<Step>& script) {
-  EventQueue wheel(EventQueueImpl::kWheel);
-  EventQueue heap(EventQueueImpl::kBinaryHeap);
+  EventQueue wheel;
   std::vector<std::pair<iba::Cycle, std::uint32_t>> reference;  // unpopped
   std::uint32_t stamp = 0;
   std::size_t checked = 0;
@@ -113,38 +112,31 @@ void run_differential(const std::vector<Step>& script) {
       Event e = at(s.time);
       e.aux = stamp++;
       wheel.push(e);
-      heap.push(e);
       reference.emplace_back(s.time, e.aux);
       continue;
     }
     if (reference.empty()) {
       EXPECT_TRUE(wheel.empty());
-      EXPECT_TRUE(heap.empty());
       continue;
     }
     // Reference order: earliest time, ties by insertion stamp. aux stamps
     // increase monotonically, so min over (time, aux) is exactly that.
     const auto it = std::min_element(reference.begin(), reference.end());
     const Event w = wheel.pop();
-    const Event h = heap.pop();
     ASSERT_EQ(w.time, it->first) << "wheel time diverged at pop " << checked;
     ASSERT_EQ(w.aux, it->second) << "wheel order diverged at pop " << checked;
-    ASSERT_EQ(h.time, it->first) << "heap time diverged at pop " << checked;
-    ASSERT_EQ(h.aux, it->second) << "heap order diverged at pop " << checked;
-    ASSERT_EQ(w.seq, h.seq) << "sequence stamps diverged at pop " << checked;
+    // The tie-break stamp is the insertion count, like the aux stamp.
+    ASSERT_EQ(w.seq, w.aux) << "sequence stamp diverged at pop " << checked;
     reference.erase(it);
     ++checked;
   }
   while (!reference.empty()) {
     const auto it = std::min_element(reference.begin(), reference.end());
     const Event w = wheel.pop();
-    const Event h = heap.pop();
     ASSERT_EQ(w.aux, it->second);
-    ASSERT_EQ(h.aux, it->second);
     reference.erase(it);
   }
   EXPECT_TRUE(wheel.empty());
-  EXPECT_TRUE(heap.empty());
 }
 
 TEST(EventQueueDifferential, RandomizedPushPop) {

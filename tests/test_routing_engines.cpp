@@ -178,18 +178,6 @@ TEST(UpdownEngine, TableForTableIdenticalToLegacyPassStructured) {
   expect_identical_to_legacy(gen::dragonfly(4, 2, 9, 2));
 }
 
-TEST(UpdownEngine, DeprecatedShimStillForwards) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const auto g = gen::single_switch(4);
-  const auto via_shim = compute_updown_routes(g);
-#pragma GCC diagnostic pop
-  const auto via_registry = compute_routes(g, "updown");
-  for (const auto h : g.hosts())
-    EXPECT_EQ(via_shim.out_port(g.switches()[0], h),
-              via_registry.out_port(g.switches()[0], h));
-}
-
 // --- Registry surface ----------------------------------------------------
 
 TEST(RoutingRegistry, ListsAllEnginesAndRejectsUnknown) {

@@ -137,6 +137,26 @@ TEST(SeriesRecorder, ProfileInstrumentsAreExcluded) {
   EXPECT_TRUE(data.gauges.empty());
 }
 
+TEST(Quarantine, QuarantinedCountersStayOutOfSeriesColumns) {
+  // profile.* is matched as a prefix, not a substring.
+  EXPECT_TRUE(is_quarantined_name("profile.dispatch_ms"));
+  EXPECT_FALSE(is_quarantined_name("queue.profile.depth"));
+  TelemetryRegistry reg;
+  reg.counter("arb.decisions").inc(5);
+  reg.counter("profile.samples").inc(2);
+  SeriesRecorder::Config cfg;
+  cfg.sample_every = 100;
+  SeriesRecorder rec(reg, cfg);
+  rec.advance_to(201);
+  const auto data = rec.finalize(200);
+  std::ostringstream os;
+  util::JsonWriter w(os);
+  data.write_json(w);
+  const auto json = os.str();
+  EXPECT_NE(json.find("arb.decisions"), std::string::npos);
+  EXPECT_EQ(json.find("profile.samples"), std::string::npos);
+}
+
 TEST(SeriesRecorder, DecimationHalvesWindowsAndDoublesWidth) {
   TelemetryRegistry reg;
   auto& c = reg.counter("c");

@@ -211,5 +211,53 @@ TEST(Telemetry, WriteJsonSortsKeys) {
             true);
 }
 
+// Snapshot::merge folds the per-run snapshots of a --jobs sweep.
+
+TEST(SnapshotFold, DisjointKeysInterleaveInSortedOrder) {
+  Snapshot a;
+  a.add_counter("sim.events", 3);
+  a.add_counter("xbar.grants", 10);
+  Snapshot b;
+  b.add_counter("credit.stalls", 7);
+  b.add_counter("queue.pops", 42);
+  const auto merged = Snapshot::merge({a, b});
+  ASSERT_EQ(merged.counters.size(), 4u);
+  // std::map keeps the fold order deterministic: lexicographic, regardless
+  // of which part contributed which key.
+  auto it = merged.counters.begin();
+  EXPECT_EQ(it->first, "credit.stalls");
+  EXPECT_EQ((++it)->first, "queue.pops");
+  EXPECT_EQ((++it)->first, "sim.events");
+  EXPECT_EQ((++it)->first, "xbar.grants");
+  // Part order must not matter for the serialized bytes.
+  EXPECT_EQ(snapshot_json(merged), snapshot_json(Snapshot::merge({b, a})));
+}
+
+TEST(SnapshotFold, SharedKeysAddAndGaugesFollowPolicy) {
+  Snapshot a;
+  a.add_counter("sim.events", 100);
+  a.merge_gauge("queue.peak_size", 4096, MergePolicy::kMax);
+  a.merge_gauge("sim.rate", 1.5, MergePolicy::kSum);
+  const std::uint64_t bins_a[4] = {1, 2, 0, 0};
+  a.add_histogram("queue.residency_log2", bins_a, 4);
+  Snapshot b;
+  b.add_counter("sim.events", 50);
+  b.merge_gauge("queue.peak_size", 8192, MergePolicy::kMax);
+  b.merge_gauge("sim.rate", 0.5, MergePolicy::kSum);
+  const std::uint64_t bins_b[4] = {0, 0, 3, 4};
+  b.add_histogram("queue.residency_log2", bins_b, 4);
+
+  const auto m = Snapshot::merge({a, b});
+  EXPECT_EQ(m.counters.at("sim.events"), 150u);
+  EXPECT_EQ(m.gauges.at("queue.peak_size").first, 8192.0);
+  EXPECT_EQ(m.gauges.at("sim.rate").first, 2.0);
+  const auto& h = m.histograms.at("queue.residency_log2");
+  ASSERT_GE(h.size(), 4u);
+  EXPECT_EQ(h[0], 1u);
+  EXPECT_EQ(h[1], 2u);
+  EXPECT_EQ(h[2], 3u);
+  EXPECT_EQ(h[3], 4u);
+}
+
 }  // namespace
 }  // namespace ibarb::obs
