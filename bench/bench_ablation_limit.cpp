@@ -65,11 +65,11 @@ LimitRow summarize(const bench::PaperRun& run) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+int bench_main(const util::Cli& cli) {
   const auto sf = cli.std_flags(21);
-  auto base = bench::config_from_cli(cli);
-  base.besteffort_load = cli.get_double("be-load", 0.25);
+  bench::PaperRunConfig defaults;
+  defaults.besteffort_load = 0.25;
+  auto base = bench::config_from_cli(cli, defaults);
   // The limit only matters while the high-priority table has backlog at the
   // moment low-priority packets wait: drive the guaranteed classes into
   // backlog by making them all oversend (cf. bench_misbehavior).

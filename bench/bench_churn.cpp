@@ -350,8 +350,7 @@ obs::Report make_report(const BenchConfig& bc,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+int bench_main(const util::Cli& cli) {
   const auto sf = cli.std_flags(1);
   BenchConfig bc;
   const auto scenario = cli.get("scenario", "storm");

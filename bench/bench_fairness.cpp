@@ -25,6 +25,7 @@
 #include <array>
 #include <cmath>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -248,16 +249,22 @@ std::uint64_t xbar_counter(const Row& row, std::string_view name) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+int bench_main(const util::Cli& cli) {
   const auto sf = cli.std_flags(31);
 
-  // --crossbar restricts the ablation to one scheduler (CI uses this to pin
-  // a matrix leg); absent means the whole zoo. IBARB_CROSSBAR deliberately
-  // does NOT apply here — comparing the schedulers is the bench's job.
+  // --crossbar restricts the ablation to one scheduler; absent means the
+  // whole zoo. IBARB_CROSSBAR deliberately does NOT apply here — comparing
+  // the schedulers is the bench's job.
   std::vector<sched::CrossbarImpl> impls(kImpls.begin(), kImpls.end());
-  if (!sf.crossbar.empty())
-    impls = {*sched::parse_crossbar_impl(sf.crossbar)};
+  if (const auto name = cli.get("crossbar", ""); !name.empty()) {
+    const auto impl = sched::parse_crossbar_impl(name);
+    if (!impl)
+      throw std::invalid_argument("--crossbar '" + name +
+                                  "' is invalid (expected " +
+                                  std::string(sched::kCrossbarImplNames) +
+                                  ")");
+    impls = {*impl};
+  }
 
   if (!sf.json)
     std::cout << "=== Crossbar fairness ablation (" << kHosts

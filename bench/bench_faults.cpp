@@ -454,8 +454,7 @@ obs::Report make_report(const BenchConfig& bc,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+int bench_main(const util::Cli& cli) {
   const auto sf = cli.std_flags(1);
   BenchConfig bc;
   bc.spines = static_cast<unsigned>(cli.get_int("spines", 2));

@@ -45,10 +45,9 @@ void print_panel(const char* title, const bench::PaperRun& run) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+int bench_main(const util::Cli& cli) {
   const auto sf = cli.std_flags(21);
-  const auto base = bench::config_from_cli(cli);
+  const auto base = bench::config_from_cli(cli, {}, {"mtu"});
 
   std::vector<bench::PaperRunConfig> cfgs(2, base);
   cfgs[0].mtu = iba::Mtu::kMtu256;

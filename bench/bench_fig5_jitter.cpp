@@ -59,8 +59,7 @@ void print_panel(const char* title,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+int bench_main(const util::Cli& cli) {
   const auto sf = cli.std_flags(21);
   const auto cfg = bench::config_from_cli(cli);
   const auto replicas =

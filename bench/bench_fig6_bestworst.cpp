@@ -15,19 +15,17 @@
 
 using namespace ibarb;
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+int bench_main(const util::Cli& cli) {
   const auto sf = cli.std_flags(21);
   // Default to LARGE packets: they are the regime where the tight D/30
   // threshold discriminates (with 256 B packets every connection is already
   // at 100% there — see bench_fig4_delay panel (a)). The paper picked its
   // threshold for the same reason: tight enough that Figure 4a is < 100%.
+  // More packets per connection make the best/worst selection meaningful.
   auto base = bench::PaperRunConfig{};
   base.mtu = iba::Mtu::kMtu4096;
+  base.min_rx_packets = 60;
   auto cfg = bench::config_from_cli(cli, base);
-  // More packets per connection make the best/worst selection meaningful.
-  if (!cli.has("packets") && !cli.get_bool("quick", false))
-    cfg.min_rx_packets = 60;
   bench::apply_run0_observability(cfg, sf);
 
   if (!sf.json)

@@ -20,8 +20,7 @@
 
 using namespace ibarb;
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+int bench_main(const util::Cli& cli) {
   const auto sf = cli.std_flags(1);
   arbtable::AcceptanceWorkload w;
   w.requests =

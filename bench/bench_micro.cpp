@@ -15,8 +15,6 @@
 //                 count). The headline `speedup` is the timing wheel's
 //                 events/sec over a std::priority_queue replay of the same
 //                 stream (HeapQueue below, the pre-wheel design).
-//  * sim_fig4   — the full fig4-style experiment (16-switch irregular fabric,
-//                 Table-1 workload, small MTU), simulation phase only.
 //  * arbiter    — arbitration decisions/sec on dense and sparse tables.
 //  * series     — the SeriesRecorder hot path: deliveries/sec through
 //                 record_delivery + windowed commits, in a regime without
@@ -51,7 +49,6 @@
 #include "obs/report.hpp"
 #include "obs/series.hpp"
 #include "obs/telemetry.hpp"
-#include "paper_runner.hpp"
 #include "sim/event_queue.hpp"
 #include "util/cli.hpp"
 #include "util/json_writer.hpp"
@@ -322,23 +319,6 @@ QueueResult measure_queue(std::size_t depth, std::uint64_t events,
   return best;
 }
 
-struct SimResult {
-  double seconds = 0.0;
-  std::uint64_t events = 0;
-  double events_per_sec = 0.0;
-};
-
-SimResult measure_sim(const bench::PaperRunConfig& cfg) {
-  bench::PaperRun run(cfg, bench::PaperRun::DeferSim{});
-  const auto t0 = std::chrono::steady_clock::now();
-  run.run();
-  SimResult res;
-  res.seconds = seconds_since(t0);
-  res.events = run.summary.events;
-  res.events_per_sec = static_cast<double>(res.events) / res.seconds;
-  return res;
-}
-
 double measure_arbiter(const iba::VlArbitrationTable& t,
                        const iba::ReadyBytes& ready, std::uint64_t decisions) {
   iba::VlArbiter arb(t);
@@ -477,8 +457,7 @@ SnapshotBenchResult measure_snapshot_roundtrip(std::uint64_t target) {
   return res;
 }
 
-int run_json_harness(int argc, const char* const* argv) {
-  const util::Cli cli(argc, argv);
+int run_json_harness(const util::Cli& cli) {
   (void)cli.get_bool("json", true);  // consumed; routing happened in main()
   const std::string out_path = cli.get("out", "BENCH_micro.json");
   const auto depth =
@@ -489,19 +468,12 @@ int run_json_harness(int argc, const char* const* argv) {
       static_cast<unsigned>(cli.get_int("queue-reps", 3));
   const auto arb_decisions =
       static_cast<std::uint64_t>(cli.get_int("arb-decisions", 2'000'000));
-  const bool skip_sim = cli.get_bool("skip-sim", false);
   const auto series_deliveries = static_cast<std::uint64_t>(
       cli.get_int("series-deliveries", 2'000'000));
   const auto snapshot_small = static_cast<std::uint64_t>(
       cli.get_int("snapshot-small", 1'000));
   const auto snapshot_large = static_cast<std::uint64_t>(
       cli.get_int("snapshot-large", 100'000));
-
-  bench::PaperRunConfig sim_cfg;
-  sim_cfg.switches = static_cast<unsigned>(cli.get_int("switches", 16));
-  sim_cfg.min_rx_packets =
-      static_cast<std::uint64_t>(cli.get_int("packets", 10));
-  sim_cfg.warmup = static_cast<iba::Cycle>(cli.get_int("warmup", 500'000));
   cli.warn_unused(std::cerr);
 
   std::cerr << "[bench_micro] queue replay (depth " << depth << ", "
@@ -512,12 +484,6 @@ int run_json_harness(int argc, const char* const* argv) {
   const QueueResult heap = measure_queue<HeapQueue>(
       depth, queue_events, /*seed=*/2027, queue_reps);
   const bool order_match = wheel.checksum == heap.checksum;
-
-  SimResult sim_fig4;
-  if (!skip_sim) {
-    std::cerr << "[bench_micro] fig4-style sim...\n";
-    sim_fig4 = measure_sim(sim_cfg);
-  }
 
   std::cerr << "[bench_micro] arbiter decision rates...\n";
   iba::VlArbitrationTable dense;
@@ -561,8 +527,6 @@ int run_json_harness(int argc, const char* const* argv) {
   report.config("queue_events", queue_events);
   report.config("queue_reps", static_cast<std::uint64_t>(queue_reps));
   report.config("arb_decisions", arb_decisions);
-  report.config("switches", static_cast<std::uint64_t>(sim_cfg.switches));
-  report.config("skip_sim", skip_sim);
   report.figure("queue", [&](util::JsonWriter& w) {
     const auto queue_obj = [&w](const QueueResult& r) {
       w.begin_object();
@@ -583,16 +547,6 @@ int run_json_harness(int argc, const char* const* argv) {
     w.kv("pop_order_identical", order_match);
     w.end_object();
   });
-  if (!skip_sim) {
-    report.figure("sim_fig4", [&](util::JsonWriter& w) {
-      w.begin_object();
-      w.kv("switches", static_cast<std::uint64_t>(sim_cfg.switches));
-      w.kv("events", sim_fig4.events);
-      w.kv("seconds", sim_fig4.seconds);
-      w.kv("events_per_sec", sim_fig4.events_per_sec);
-      w.end_object();
-    });
-  }
   report.figure("arbiter", [&](util::JsonWriter& w) {
     w.begin_object();
     w.kv("dense_decisions_per_sec", dense_rate);
@@ -653,9 +607,6 @@ int run_json_harness(int argc, const char* const* argv) {
             << heap.events_per_sec / 1e6
             << " Mev/s, speedup " << wheel.events_per_sec / heap.events_per_sec
             << "x, order " << (order_match ? "identical" : "DIVERGED") << "\n";
-  if (!skip_sim)
-    std::cout << "sim     " << sim_fig4.events_per_sec / 1e6 << " Mev/s ("
-              << sim_fig4.events << " events)\n";
   std::cout << "arbiter dense " << dense_rate / 1e6 << " Mdec/s, sparse "
             << sparse_rate / 1e6 << " Mdec/s\n";
   std::cout << "series  flat " << series_flat.deliveries_per_sec / 1e6
@@ -676,7 +627,7 @@ int run_json_harness(int argc, const char* const* argv) {
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i)
     if (std::string_view(argv[i]) == "--json")
-      return run_json_harness(argc, argv);
+      return util::run_main(argc, argv, run_json_harness);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

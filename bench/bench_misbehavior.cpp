@@ -52,10 +52,11 @@ Outcome evaluate(const bench::PaperRun& run) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+int bench_main(const util::Cli& cli) {
   const auto sf = cli.std_flags(21);
-  auto base = bench::config_from_cli(cli);
+  bench::PaperRunConfig defaults;
+  defaults.besteffort_load = 0.0;  // isolate the QoS classes
+  const auto base = bench::config_from_cli(cli, defaults, {"besteffort-load"});
   const double factor = cli.get_double("oversend", 3.0);
 
   if (!sf.json)
@@ -82,7 +83,6 @@ int main(int argc, char** argv) {
     cfg.scheme = c.scheme;
     cfg.oversend_sl_mask = 0x3F;  // SLs 0..5: every DBTS class misbehaves
     cfg.oversend_factor = c.factor;
-    cfg.besteffort_load = 0.0;  // isolate the QoS classes
     cfgs.push_back(cfg);
   }
   bench::apply_run0_observability(cfgs[0], sf);

@@ -283,10 +283,9 @@ TopoRow run_topo_case(const TopoCase& tc) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+int bench_main(const util::Cli& cli) {
   const auto sf = cli.std_flags(21);
-  auto base = bench::config_from_cli(cli);
+  auto base = bench::config_from_cli(cli, {}, {"switches"});
   const bool full = cli.get_bool("full", false);
 
   if (!sf.json) std::cout << "=== Scaling: 8..64 switches, small packets ===\n\n";

@@ -17,10 +17,9 @@
 
 using namespace ibarb;
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+int bench_main(const util::Cli& cli) {
   const auto sf = cli.std_flags(21);
-  const auto base = bench::config_from_cli(cli);
+  const auto base = bench::config_from_cli(cli, {}, {"mtu"});
 
   if (!sf.json) {
     std::cout << "=== Table 2: traffic and utilization for different packet "

@@ -15,8 +15,7 @@
 
 using namespace ibarb;
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+int bench_main(const util::Cli& cli) {
   const auto sf = cli.std_flags(21);
   auto base = bench::config_from_cli(cli);
   base.vbr_on_fraction = cli.get_double("on-fraction", 0.25);

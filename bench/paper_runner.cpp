@@ -2,62 +2,167 @@
 
 #include "network/routing_engine.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace ibarb::bench {
 
-PaperRunConfig config_from_cli(const util::Cli& cli, PaperRunConfig base) {
-  base.switches =
-      static_cast<unsigned>(cli.get_int("switches", base.switches));
-  const auto mtu = cli.get("mtu", "");
-  if (mtu == "small" || mtu == "256") base.mtu = iba::Mtu::kMtu256;
-  if (mtu == "1024") base.mtu = iba::Mtu::kMtu1024;
-  if (mtu == "2048") base.mtu = iba::Mtu::kMtu2048;
-  if (mtu == "large" || mtu == "4096") base.mtu = iba::Mtu::kMtu4096;
-  base.seed = static_cast<std::uint64_t>(cli.get_int("seed", base.seed));
-  base.min_rx_packets = static_cast<std::uint64_t>(
-      cli.get_int("packets", base.min_rx_packets));
-  base.warmup =
-      static_cast<iba::Cycle>(cli.get_int("warmup", base.warmup));
-  base.besteffort_load =
-      cli.get_double("besteffort-load", base.besteffort_load);
+namespace {
+
+/// One knob of a paper run, settable by a flag and optionally by an
+/// environment variable.
+struct RunKnob {
+  std::string_view name;   ///< Flag name (--name) and report key stem.
+  const char* env;         ///< Environment override, or nullptr.
+  std::string_view valid;  ///< The valid set, quoted in every rejection.
+  /// Parses `text` into the config; throws std::invalid_argument (the
+  /// reason) on a value outside the valid set.
+  void (*parse)(std::string_view text, PaperRunConfig& cfg);
+};
+
+/// Parses an unsigned integer >= Lo that fits the type of `Member`. The
+/// reason is empty: the caller's message quotes the value and valid set.
+template <auto Member, std::uint64_t Lo = 0>
+void parse_uint(std::string_view text, PaperRunConfig& cfg) {
+  using T = std::remove_reference_t<decltype(cfg.*Member)>;
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end || v < Lo ||
+      v > std::numeric_limits<T>::max())
+    throw std::invalid_argument("");
+  cfg.*Member = static_cast<T>(v);
+}
+
+const RunKnob kRunKnobs[] = {
+    {"switches", nullptr, "an integer >= 1",
+     parse_uint<&PaperRunConfig::switches, 1>},
+    {"mtu", nullptr, "256|1024|2048|4096|small|large",
+     [](std::string_view t, PaperRunConfig& c) {
+       if (t == "256" || t == "small") c.mtu = iba::Mtu::kMtu256;
+       else if (t == "1024") c.mtu = iba::Mtu::kMtu1024;
+       else if (t == "2048") c.mtu = iba::Mtu::kMtu2048;
+       else if (t == "4096" || t == "large") c.mtu = iba::Mtu::kMtu4096;
+       else throw std::invalid_argument("");
+     }},
+    {"seed", nullptr, "an integer >= 0", parse_uint<&PaperRunConfig::seed>},
+    {"packets", nullptr, "an integer >= 0",
+     parse_uint<&PaperRunConfig::min_rx_packets>},
+    {"warmup", nullptr, "a cycle count >= 0",
+     parse_uint<&PaperRunConfig::warmup>},
+    {"besteffort-load", nullptr, "a number in [0, 1]",
+     [](std::string_view t, PaperRunConfig& c) {
+       double v = 0.0;
+       const char* end = t.data() + t.size();
+       const auto [ptr, ec] = std::from_chars(t.data(), end, v);
+       if (ec != std::errc{} || ptr != end || !(v >= 0.0 && v <= 1.0))
+         throw std::invalid_argument("");
+       c.besteffort_load = v;
+     }},
+    {"crossbar", "IBARB_CROSSBAR", sched::kCrossbarImplNames,
+     [](std::string_view t, PaperRunConfig& c) {
+       const auto impl = sched::parse_crossbar_impl(t);
+       if (!impl) throw std::invalid_argument("");
+       c.crossbar = *impl;
+     }},
+    {"topo", "IBARB_TOPO", "FAMILY[:key=value,...]",
+     [](std::string_view t, PaperRunConfig& c) {
+       c.topo = network::TopologySpec::parse(t);
+     }},
+    {"routing", "IBARB_ROUTING", network::kRoutingEngineNames,
+     [](std::string_view t, PaperRunConfig& c) {
+       if (!network::is_routing_engine(t)) throw std::invalid_argument("");
+       c.routing = std::string(t);
+     }},
+};
+constexpr std::size_t kRunKnobCount = std::size(kRunKnobs);
+
+}  // namespace
+
+const char* knob_source_name(KnobSource source) noexcept {
+  switch (source) {
+    case KnobSource::kDefault: return "default";
+    case KnobSource::kEnv: return "env";
+    case KnobSource::kFlag: return "flag";
+  }
+  return "?";
+}
+
+std::vector<std::string_view> run_knob_names() {
+  std::vector<std::string_view> names;
+  for (const RunKnob& knob : kRunKnobs) names.push_back(knob.name);
+  return names;
+}
+
+KnobSource source_of(const PaperRunConfig& cfg, std::string_view knob) {
+  for (std::size_t i = 0; i < kRunKnobCount; ++i) {
+    if (kRunKnobs[i].name != knob) continue;
+    return i < cfg.source.size() ? cfg.source[i] : KnobSource::kDefault;
+  }
+  throw std::invalid_argument("not a run-configuration knob: " +
+                              std::string(knob));
+}
+
+const char* process_env(const char* name) { return std::getenv(name); }
+
+PaperRunConfig config_from_cli(
+    const util::Cli& cli, PaperRunConfig base,
+    std::initializer_list<std::string_view> bench_set, const EnvLookup& env) {
   if (cli.get_bool("quick", false)) {
     base.min_rx_packets = 10;
     base.warmup = 500'000;
   }
-  const util::StdFlags sf = cli.std_flags();
-  if (!sf.crossbar.empty())
-    base.crossbar = *sched::parse_crossbar_impl(sf.crossbar);
-  if (!sf.topo.empty()) base.topo = sf.topo;
-  if (!sf.routing.empty()) base.routing = sf.routing;
+  base.source.assign(kRunKnobCount, KnobSource::kDefault);
+  for (std::size_t i = 0; i < kRunKnobCount; ++i) {
+    const RunKnob& knob = kRunKnobs[i];
+    if (std::find(bench_set.begin(), bench_set.end(), knob.name) !=
+        bench_set.end())
+      continue;
+    std::string origin, text;
+    if (cli.has(knob.name)) {
+      origin = "--" + std::string(knob.name);
+      text = cli.get(knob.name, "");
+      base.source[i] = KnobSource::kFlag;
+    } else if (const char* raw = knob.env ? env(knob.env) : nullptr;
+               raw != nullptr && *raw != '\0') {
+      origin = knob.env;
+      text = raw;
+      base.source[i] = KnobSource::kEnv;
+    } else {
+      continue;
+    }
+    try {
+      knob.parse(text, base);
+    } catch (const std::invalid_argument& e) {
+      const std::string why = e.what();
+      throw std::invalid_argument(
+          std::string(knob.name) + ": " + origin + " '" + text +
+          "' is invalid" + (why.empty() ? "" : ": " + why) + " (expected " +
+          std::string(knob.valid) + ")");
+    }
+  }
   return base;
 }
 
-network::TopologySpec resolve_topology(const PaperRunConfig& cfg) {
-  auto spec = cfg.topo.empty() ? network::topology_spec_from_env()
-                               : network::TopologySpec::parse(cfg.topo);
+network::TopologySpec PaperRunConfig::fabric() const {
+  network::TopologySpec spec = topo;
   if (spec.family() == "irregular") {
-    // Keep the pre-registry knobs meaningful: an irregular spec that does
-    // not pin switches/seed itself inherits them from --switches/--seed.
-    if (!spec.has("switches")) spec.set("switches", cfg.switches);
-    if (!spec.has("seed")) spec.set("seed", cfg.seed);
+    if (!spec.has("switches")) spec.set("switches", switches);
+    if (!spec.has("seed")) spec.set("seed", seed);
   }
   return spec;
 }
 
-std::string resolve_routing(const PaperRunConfig& cfg) {
-  return cfg.routing.empty() ? network::routing_engine_from_env()
-                             : cfg.routing;
-}
-
-PaperRun::PaperRun(PaperRunConfig c) : PaperRun(c, DeferSim{}) { run(); }
-
-PaperRun::PaperRun(PaperRunConfig c, DeferSim) : cfg(c) {
-  graph = resolve_topology(cfg).build();
-  sm = std::make_unique<subnet::SubnetManager>(graph, resolve_routing(cfg));
+PaperRun::PaperRun(PaperRunConfig c) : cfg(c) {
+  graph = cfg.fabric().build();
+  sm = std::make_unique<subnet::SubnetManager>(graph, cfg.routing);
 
   qos::AdmissionControl::Config ac;
   ac.policy = cfg.policy;
@@ -73,8 +178,7 @@ PaperRun::PaperRun(PaperRunConfig c, DeferSim) : cfg(c) {
   sc.max_payload_bytes = iba::mtu_bytes(cfg.mtu);
   sc.buffer_packets = cfg.buffer_packets;
   sc.seed = cfg.seed;
-  sc.crossbar_impl =
-      cfg.crossbar ? *cfg.crossbar : sched::crossbar_impl_from_env();
+  sc.crossbar_impl = cfg.crossbar;
   sc.trace_capacity = cfg.trace_capacity;
   sc.sample_every = cfg.sample_every;
   sc.profile = cfg.profile;
@@ -92,16 +196,10 @@ PaperRun::PaperRun(PaperRunConfig c, DeferSim) : cfg(c) {
       traffic::build_paper_workload(graph, sm->routes(), *admission, *sim, wc);
 
   sm->configure_fabric(*sim, *admission);
-}
 
-void PaperRun::run() {
   summary = sim->run_paper_phases(cfg.warmup, cfg.min_rx_packets,
                                   cfg.hard_limit);
   if (sim->series() != nullptr) series = sim->series()->finalize(sim->now());
-}
-
-std::unique_ptr<PaperRun> run_paper_experiment(PaperRunConfig cfg) {
-  return std::make_unique<PaperRun>(cfg);
 }
 
 std::vector<PaperRun::SlSeries> PaperRun::per_sl() const {

@@ -6,8 +6,13 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <memory>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "network/registry.hpp"
@@ -20,6 +25,11 @@
 #include "util/cli.hpp"
 
 namespace ibarb::bench {
+
+/// Where a run-configuration knob's value came from; reports echo it.
+enum class KnobSource : std::uint8_t { kDefault, kEnv, kFlag };
+
+const char* knob_source_name(KnobSource source) noexcept;
 
 struct PaperRunConfig {
   unsigned switches = 16;           ///< Paper's headline network size.
@@ -46,34 +56,49 @@ struct PaperRunConfig {
   std::uint64_t sample_every = 0;
   /// Wall-clock self-profiler (--profile); profile.* telemetry only.
   bool profile = false;
-  /// Crossbar scheduler. Engaged by --crossbar; empty defers to the
-  /// IBARB_CROSSBAR env (then wrr) — flag beats env beats default, the same
-  /// precedence every knob here follows.
-  std::optional<sched::CrossbarImpl> crossbar;
-  /// Topology spec ("family:k=v,...", network/registry.hpp). Engaged by
-  /// --topo; empty defers to IBARB_TOPO, then the paper's irregular family.
-  /// For the irregular family, --switches/--seed still fill in any
-  /// parameter the spec leaves unset, so the pre-registry flags keep
-  /// working unchanged.
-  std::string topo;
-  /// Routing engine name (network/routing_engine.hpp). Engaged by
-  /// --routing; empty defers to IBARB_ROUTING, then updown.
-  std::string routing;
+  /// Crossbar scheduler of every switch (docs/SCHEDULERS.md).
+  sched::CrossbarImpl crossbar = sched::CrossbarImpl::kWrr;
+  /// Topology spec ("family:k=v,...", network/registry.hpp), holding only
+  /// the parameters the user set, so that fabric() can tell them apart.
+  network::TopologySpec topo = network::TopologySpec::parse("irregular");
+  /// Routing engine name (network/routing_engine.hpp).
+  std::string routing = "updown";
+  /// Where each run-configuration knob got its value, filled by
+  /// config_from_cli (empty: every knob at its default). Read it with
+  /// source_of, never by index.
+  std::vector<KnobSource> source;
+
+  /// The fabric this config builds: `topo`, with `switches` and `seed`
+  /// filled into an irregular spec's unset parameters, so --switches and
+  /// --seed keep shaping the paper's fabric (also per run of a sweep).
+  network::TopologySpec fabric() const;
 };
 
-/// Applies the common bench flags (--switches --mtu --seed --packets
-/// --warmup --quick) on top of the defaults. --crossbar/--topo/--routing
-/// come from cli.std_flags(), which validates them.
-PaperRunConfig config_from_cli(const util::Cli& cli, PaperRunConfig base = {});
+/// Flag names (--name) of every run-configuration knob.
+std::vector<std::string_view> run_knob_names();
 
-/// The topology spec a config resolves to (flag beats IBARB_TOPO beats
-/// irregular), with --switches/--seed filled into an irregular spec's unset
-/// parameters. Every fabric a PaperRun builds comes from this.
-network::TopologySpec resolve_topology(const PaperRunConfig& cfg);
+/// Where `cfg`'s value of the knob named `knob` came from; throws
+/// std::invalid_argument for a name that is not a run-configuration knob.
+KnobSource source_of(const PaperRunConfig& cfg, std::string_view knob);
 
-/// The routing engine a config resolves to (flag beats IBARB_ROUTING beats
-/// updown).
-std::string resolve_routing(const PaperRunConfig& cfg);
+/// Reads one environment variable; nullptr when unset.
+using EnvLookup = std::function<const char*(const char*)>;
+
+/// The process environment, as an EnvLookup.
+const char* process_env(const char* name);
+
+/// Resolves every run-configuration knob once, on top of `base`. A knob's
+/// default is the value `base` already holds: a flag beats
+/// its env var (unset or empty counts as absent), which beats the default.
+/// --quick first lowers the packets/warmup defaults. A bad value throws
+/// std::invalid_argument naming the knob, where the value came from and
+/// the valid set. Knobs in `bench_set` are ones the bench sets itself for
+/// each run (fig4's two MTUs): they are not read, so a flag for one is
+/// reported by warn_unused, and their source stays `default`.
+PaperRunConfig config_from_cli(
+    const util::Cli& cli, PaperRunConfig base = {},
+    std::initializer_list<std::string_view> bench_set = {},
+    const EnvLookup& env = process_env);
 
 /// One complete simulated experiment. Members reference each other, so the
 /// struct is heap-pinned (no copies/moves).
@@ -86,19 +111,13 @@ struct PaperRun {
   traffic::Workload workload;
   sim::RunSummary summary;
   /// Finalized time-series of the run; engaged when cfg.sample_every > 0
-  /// (filled by run() after the last simulated cycle).
+  /// (filled after the last simulated cycle).
   std::optional<obs::SeriesData> series;
 
   PaperRun(const PaperRun&) = delete;
   PaperRun& operator=(const PaperRun&) = delete;
+  /// Builds the fabric and workload, then runs the simulation phases.
   explicit PaperRun(PaperRunConfig c);
-
-  /// Tag for the two-phase form used by timing harnesses: the constructor
-  /// stands up the fabric/workload only, and run() executes the simulation
-  /// phases (so setup cost can be excluded from a measurement).
-  struct DeferSim {};
-  PaperRun(PaperRunConfig c, DeferSim);
-  void run();
 
   // --- Aggregations -------------------------------------------------------
 
@@ -149,8 +168,6 @@ struct PaperRun {
   };
   std::vector<SlThroughput> per_sl_throughput() const;
 };
-
-std::unique_ptr<PaperRun> run_paper_experiment(PaperRunConfig cfg);
 
 /// Human label for a threshold index ("D/30" ... "D").
 std::string threshold_label(std::size_t index);

@@ -1,5 +1,6 @@
 #include "report_common.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 
@@ -66,8 +67,9 @@ std::vector<obs::CounterTrack> series_tracks(const PaperRun& run) {
 }
 
 void echo_config(obs::Report& report, const PaperRunConfig& cfg) {
-  report.config("topo", resolve_topology(cfg).canonical());
-  report.config("routing", resolve_routing(cfg));
+  report.config("topo", cfg.fabric().canonical());
+  report.config("routing", cfg.routing);
+  report.config("crossbar", sched::crossbar_impl_name(cfg.crossbar));
   report.config("switches", static_cast<std::uint64_t>(cfg.switches));
   report.config("mtu_bytes",
                 static_cast<std::uint64_t>(iba::mtu_bytes(cfg.mtu)));
@@ -82,6 +84,11 @@ void echo_config(obs::Report& report, const PaperRunConfig& cfg) {
                 static_cast<std::uint64_t>(cfg.buffer_packets));
   report.config("limit_of_high_priority",
                 static_cast<std::uint64_t>(cfg.limit_of_high_priority));
+  for (const std::string_view name : run_knob_names()) {
+    std::string key(name);
+    std::replace(key.begin(), key.end(), '-', '_');
+    report.config(key + "_source", knob_source_name(source_of(cfg, name)));
+  }
 }
 
 void write_sl_series(util::JsonWriter& w,

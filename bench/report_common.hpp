@@ -54,7 +54,9 @@ obs::Snapshot merged_telemetry(const SweepResult& sweep);
 obs::Snapshot merged_telemetry(
     const std::vector<std::unique_ptr<PaperRun>>& runs);
 
-/// Standard config echo of a PaperRunConfig into report.config.
+/// Standard config echo of a PaperRunConfig into report.config: the
+/// resolved values, plus a `<knob>_source` key (flag|env|default) for every
+/// run-configuration knob, '-' spelled '_' (besteffort_load_source).
 void echo_config(obs::Report& report, const PaperRunConfig& cfg);
 
 /// Figure payload: the per-SL series array (within/jitter fractions).

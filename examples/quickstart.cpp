@@ -25,8 +25,7 @@
 
 using namespace ibarb;
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+int quickstart_main(const util::Cli& cli) {
   const bool json = cli.get_bool("json", false);
   // 1. Fabric.
   const auto fabric = network::gen::single_switch(/*hosts=*/4);
@@ -92,5 +91,10 @@ int main(int argc, char** argv) {
     std::printf("%s\n", stats.deadline_misses == 0 ? "QoS guarantee held."
                                                    : "QoS guarantee VIOLATED");
   }
+  cli.warn_unused(std::cerr);
   return stats.deadline_misses == 0 ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return util::run_main(argc, argv, quickstart_main);
 }

@@ -70,8 +70,4 @@ std::vector<std::string_view> topology_family_names();
 /// True when `family` names a registered topology family.
 bool is_topology_family(std::string_view family) noexcept;
 
-/// Spec from IBARB_TOPO; `fallback` when unset/empty. Throws
-/// std::invalid_argument (naming the variable) on a malformed value.
-TopologySpec topology_spec_from_env(std::string_view fallback = "irregular");
-
 }  // namespace ibarb::network

@@ -1,6 +1,5 @@
 #include "network/routing_engine.hpp"
 
-#include <cstdlib>
 #include <limits>
 #include <queue>
 #include <stdexcept>
@@ -418,16 +417,6 @@ bool is_routing_engine(std::string_view name) noexcept {
   for (const auto* e : routing_engines())
     if (e->name() == name) return true;
   return false;
-}
-
-std::string routing_engine_from_env(std::string_view fallback) {
-  const char* raw = std::getenv("IBARB_ROUTING");
-  if (raw == nullptr || *raw == '\0') return std::string(fallback);
-  if (!is_routing_engine(raw))
-    throw std::invalid_argument("IBARB_ROUTING: unknown routing engine '" +
-                                std::string(raw) + "' (expected " +
-                                std::string(kRoutingEngineNames) + ")");
-  return std::string(raw);
 }
 
 Routes compute_routes(const FabricGraph& g, std::string_view engine) {

@@ -58,8 +58,4 @@ const RoutingEngine& routing_engine(std::string_view name);
 /// True when `name` is a registered engine (parse-time validation).
 bool is_routing_engine(std::string_view name) noexcept;
 
-/// Engine selection from IBARB_ROUTING; `fallback` when unset/empty.
-/// Throws std::invalid_argument on an unknown value, naming the variable.
-std::string routing_engine_from_env(std::string_view fallback = "updown");
-
 }  // namespace ibarb::network

@@ -59,6 +59,8 @@ class EventQueue {
     std::uint64_t pops = 0;
     /// Events pushed beyond the 2^16-cycle horizon.
     std::uint64_t overflow_pushes = 0;
+    /// Most events ever pending at once (the queue.peak_size gauge).
+    std::uint64_t peak_size = 0;
     /// Bin i counts pushes whose distance-to-window-start had bit_width i
     /// (bin 0 = "due now", last bin = saturated).
     std::array<std::uint64_t, kResidencyBins> residency_log2{};
@@ -95,7 +97,7 @@ class EventQueue {
       sift_up(overflow_.size() - 1);
     }
     peek_valid_ = false;
-    ++size_;
+    if (++size_ > stats_.peak_size) stats_.peak_size = size_;
   }
 
   bool empty() const noexcept { return size_ == 0; }

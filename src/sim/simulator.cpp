@@ -176,8 +176,7 @@ Simulator::Simulator(const network::FabricGraph& graph,
     snap.add_counter("queue.pushes", qs.pushes);
     snap.add_counter("queue.pops", qs.pops);
     snap.add_counter("queue.overflow_pushes", qs.overflow_pushes);
-    // Pending-event census sampled at fixed kPendingSampleEvery marks.
-    snap.merge_gauge("queue.peak_size", static_cast<double>(pending_peak_),
+    snap.merge_gauge("queue.peak_size", static_cast<double>(qs.peak_size),
                      obs::MergePolicy::kMax);
     snap.add_histogram("queue.residency_log2", qs.residency_log2.data(),
                        qs.residency_log2.size());
@@ -282,12 +281,6 @@ Simulator::Simulator(const network::FabricGraph& graph,
       }
     });
   }
-}
-
-void Simulator::sample_pending(std::uint64_t pending, iba::Cycle through) {
-  if (pending > pending_peak_) pending_peak_ = pending;
-  next_pending_mark_ =
-      (through / kPendingSampleEvery + 1) * kPendingSampleEvery;
 }
 
 std::uint32_t Simulator::checked_slot(iba::NodeId node,
@@ -758,11 +751,6 @@ void Simulator::clear_flow_purge(iba::NodeId node, iba::PortIndex port,
 
 void Simulator::run_until(iba::Cycle t) {
   while (!queue_.empty() && queue_.top().time <= t) {
-    // Pending-event census at fixed marks (the queue.peak_size gauge): the
-    // first event at or past a mark triggers a sample *before* it pops, so
-    // the count covers everything still scheduled from the mark onwards.
-    if (queue_.top().time >= next_pending_mark_)
-      sample_pending(queue_.size(), queue_.top().time);
     // A series boundary B samples the state after every event with time
     // <= B, so commit pending boundaries before popping the first event
     // that crosses one — the pop itself belongs to the next window.
@@ -778,7 +766,6 @@ void Simulator::run_until(iba::Cycle t) {
     handle(e);
   }
   if (now_ < t) now_ = t;
-  if (t >= next_pending_mark_) sample_pending(queue_.size(), t);
   // All events <= t are handled, so every boundary <= t is complete — flush
   // them even if no later event arrives to cross the boundary (idempotent;
   // run_paper_phases calls run_until in probe steps).

@@ -50,9 +50,8 @@ struct SimConfig {
   /// excluded from series sampling and from every byte-compare in CI.
   bool profile = false;
   std::uint64_t seed = 1;
-  /// Crossbar matching policy (env IBARB_CROSSBAR, flag --crossbar). kWrr
-  /// reproduces the pre-refactor grant sequence — and so the whole event
-  /// order — bit-for-bit.
+  /// Crossbar matching policy. kWrr reproduces the pre-refactor grant
+  /// sequence — and so the whole event order — bit-for-bit.
   sched::CrossbarImpl crossbar_impl = sched::CrossbarImpl::kWrr;
 };
 
@@ -250,10 +249,6 @@ class Simulator {
   void on_tx_complete(iba::NodeId node, iba::PortIndex port);
   void on_xfer_complete(const Event& e);
 
-  /// Records a pending-event census (the queue.peak_size gauge) and advances
-  /// the mark past `through`.
-  void sample_pending(std::uint64_t pending, iba::Cycle through);
-
   void try_transmit(iba::NodeId node, iba::PortIndex port);
   /// Runs the switch's crossbar scheduler (sched::AnyCrossbar) over an
   /// XbarView of the ports. `only_input` >= 0 is the cheap single-arrival
@@ -288,12 +283,6 @@ class Simulator {
   iba::Cycle now_ = 0;
   std::uint64_t events_ = 0;
   std::uint64_t next_packet_id_ = 1;
-
-  /// Pending-event census for the queue.peak_size gauge, taken when the
-  /// clock first reaches each fixed cycle mark (not a per-push peak).
-  static constexpr iba::Cycle kPendingSampleEvery = 4096;
-  std::uint64_t pending_peak_ = 0;
-  iba::Cycle next_pending_mark_ = kPendingSampleEvery;
 
   FaultHooks* hooks_ = nullptr;
   /// Active purge barriers: (flat output port, connection). A packet of a

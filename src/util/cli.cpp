@@ -2,12 +2,9 @@
 
 #include <charconv>
 #include <filesystem>
-#include <ostream>
+#include <iostream>
 #include <stdexcept>
 
-#include "network/registry.hpp"
-#include "network/routing_engine.hpp"
-#include "sched/crossbar_impl.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ibarb::util {
@@ -134,26 +131,6 @@ StdFlags Cli::std_flags(std::uint64_t default_seed) const {
   require_writable_parent("series-csv", f.series_csv);
   f.profile = get_bool("profile", false);
   f.quiet = get_bool("quiet", false);
-  f.crossbar = get("crossbar", "");
-  if (!f.crossbar.empty() && !sched::parse_crossbar_impl(f.crossbar)) {
-    throw std::invalid_argument(
-        "flag --crossbar: unknown crossbar scheduler '" + f.crossbar +
-        "' (expected " + std::string(sched::kCrossbarImplNames) + ")");
-  }
-  f.topo = get("topo", "");
-  if (!f.topo.empty()) {
-    try {
-      (void)network::TopologySpec::parse(f.topo);  // full grammar check
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument("flag --topo: " + std::string(e.what()));
-    }
-  }
-  f.routing = get("routing", "");
-  if (!f.routing.empty() && !network::is_routing_engine(f.routing)) {
-    throw std::invalid_argument(
-        "flag --routing: unknown routing engine '" + f.routing +
-        "' (expected " + std::string(network::kRoutingEngineNames) + ")");
-  }
   return f;
 }
 
@@ -171,6 +148,17 @@ std::string Cli::unused_flags() const {
     }
   }
   return out;
+}
+
+int run_main(int argc, const char* const* argv,
+             const std::function<int(const Cli&)>& body) {
+  try {
+    const Cli cli(argc, argv);
+    return body(cli);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }
 
 }  // namespace ibarb::util

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <optional>
@@ -24,19 +25,13 @@ namespace ibarb::util {
 ///   --profile           enable the wall-clock self-profiler (profile.*
 ///                       telemetry; nondeterministic, never byte-compared)
 ///   --quiet             suppress progress/timing chatter on stderr
-///   --crossbar IMPL     crossbar scheduler (wrr|islip|matrix|abr); absent
-///                       defers to IBARB_CROSSBAR, then wrr
-///   --topo SPEC         topology spec "family:k=v,..." (irregular|single|
-///                       line|mesh2d|torus2d|torus3d|fattree|fattree2|
-///                       dragonfly); absent defers to IBARB_TOPO, then
-///                       irregular
-///   --routing NAME      routing engine (updown|minimal-vl-escape|
-///                       fattree-dmodk); absent defers to IBARB_ROUTING,
-///                       then updown
 ///
-/// Output-path flags (--trace-out, --series-csv) and enum flags
-/// (--crossbar) are validated up front: a typo must fail at parse time
-/// instead of after (or worse, silently during) the full run.
+/// Output-path flags (--trace-out, --series-csv) are validated up front: a
+/// typo must fail at parse time instead of after the full run. The knobs of
+/// a simulated experiment (--crossbar, --topo, --mtu, ...) are not in this
+/// block: the paper benches resolve them in one table
+/// (bench/paper_runner.hpp), and any other binary that is given one reports
+/// it through warn_unused.
 struct StdFlags {
   unsigned jobs = 1;
   bool json = false;
@@ -46,15 +41,6 @@ struct StdFlags {
   std::string series_csv;   ///< Empty = no CSV export.
   bool profile = false;
   bool quiet = false;
-  /// Validated scheduler name, or empty when the flag was absent (callers
-  /// then fall back to sched::crossbar_impl_from_env()).
-  std::string crossbar;
-  /// Validated topology spec string, or empty when the flag was absent
-  /// (callers then fall back to network::topology_spec_from_env()).
-  std::string topo;
-  /// Validated routing engine name, or empty when the flag was absent
-  /// (callers then fall back to network::routing_engine_from_env()).
-  std::string routing;
 };
 
 class Cli {
@@ -88,5 +74,12 @@ class Cli {
   std::map<std::string, std::string, std::less<>> values_;
   mutable std::map<std::string, bool, std::less<>> queried_;
 };
+
+/// The entry point of every bench and example that takes flags: parses
+/// argv and runs `body`. A bad flag value (std::invalid_argument, thrown by
+/// the parser or by whatever the flags configure) prints "error: <reason>"
+/// to stderr and returns exit status 2 instead of escaping main.
+int run_main(int argc, const char* const* argv,
+             const std::function<int(const Cli&)>& body);
 
 }  // namespace ibarb::util

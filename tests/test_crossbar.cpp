@@ -21,18 +21,17 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <deque>
 #include <numeric>
 #include <vector>
 
+#include "fabric_cells.hpp"
 #include "paper_runner.hpp"
 #include "sched/abr_crossbar.hpp"
 #include "sched/crossbar.hpp"
 #include "sched/islip_crossbar.hpp"
 #include "sched/matrix_crossbar.hpp"
 #include "sched/wrr_crossbar.hpp"
-#include "util/cli.hpp"
 #include "util/rng.hpp"
 
 namespace ibarb::sched {
@@ -596,29 +595,50 @@ TEST_P(EverySchedulerTest, StatsCountGrantsExactly) {
 // End-to-end: Theorem 1 holds under every scheduler.
 // ---------------------------------------------------------------------------
 
-TEST_P(EverySchedulerTest, TheoremOneNoDeadlineMissEndToEnd) {
-  // The paper's no-miss guarantee stems from the VL arbitration tables at
-  // the OUTPUT ports; the crossbar policy upstream of them must not be able
-  // to break it on an admitted workload.
+/// A short admitted paper run on `fabric` under `impl`: every connection
+/// must receive packets and miss no deadline.
+void expect_theorem_one(CrossbarImpl impl, const bench::FabricCell& fabric) {
   bench::PaperRunConfig cfg;
   cfg.switches = 4;
   cfg.min_rx_packets = 8;
   cfg.warmup = 200'000;
-  cfg.crossbar = GetParam();
-  const auto run = bench::run_paper_experiment(cfg);
+  cfg.crossbar = impl;
+  fabric.apply(cfg);
+  const auto run = std::make_unique<bench::PaperRun>(cfg);
   ASSERT_FALSE(run->summary.hit_hard_limit);
   ASSERT_GT(run->workload.accepted, 0u);
   for (const auto& ec : run->workload.connections) {
     const auto& c = run->sim->metrics().connections[ec.flow];
     ASSERT_GT(c.rx_packets, 0u) << "SL " << int(ec.sl);
     EXPECT_EQ(c.deadline_misses, 0u)
-        << crossbar_impl_name(GetParam()) << " SL " << int(ec.sl);
+        << crossbar_impl_name(impl) << " SL " << int(ec.sl);
     EXPECT_DOUBLE_EQ(c.fraction_within(sim::kDelayThresholds - 1), 1.0);
   }
 }
 
+TEST_P(EverySchedulerTest, TheoremOneNoDeadlineMissEndToEnd) {
+  // The paper's no-miss guarantee stems from the VL arbitration tables at
+  // the OUTPUT ports; the crossbar policy upstream of them must not be able
+  // to break it on an admitted workload.
+  expect_theorem_one(GetParam(), bench::kFabricCells[0]);
+}
+
+// The same guarantee on the structured fabrics and their routing engines.
+class TheoremOneFabricTest
+    : public ::testing::TestWithParam<bench::FabricCell> {};
+
+TEST_P(TheoremOneFabricTest, NoDeadlineMissEndToEnd) {
+  expect_theorem_one(CrossbarImpl::kWrr, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fabrics, TheoremOneFabricTest,
+    ::testing::Values(bench::kFabricCells[1], bench::kFabricCells[2],
+                      bench::kFabricCells[3]),
+    [](const auto& info) { return std::string(info.param.name); });
+
 // ---------------------------------------------------------------------------
-// Selection plumbing: flag and env are validated at parse time.
+// Name parsing (the --crossbar knob itself: tests/test_run_config.cpp).
 // ---------------------------------------------------------------------------
 
 TEST(CrossbarSelection, ParseKnowsEveryName) {
@@ -633,95 +653,6 @@ TEST(CrossbarSelection, ParseKnowsEveryName) {
        {CrossbarImpl::kWrr, CrossbarImpl::kIslip, CrossbarImpl::kMatrix,
         CrossbarImpl::kAbr})
     EXPECT_EQ(parse_crossbar_impl(crossbar_impl_name(impl)), impl);
-}
-
-class CrossbarEnvTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    const char* old = std::getenv("IBARB_CROSSBAR");
-    if (old != nullptr) saved_ = old;
-  }
-  void TearDown() override {
-    if (saved_.empty())
-      unsetenv("IBARB_CROSSBAR");
-    else
-      setenv("IBARB_CROSSBAR", saved_.c_str(), 1);
-  }
-
- private:
-  std::string saved_;
-};
-
-TEST_F(CrossbarEnvTest, UnsetAndEmptyMeanWrr) {
-  unsetenv("IBARB_CROSSBAR");
-  EXPECT_EQ(crossbar_impl_from_env(), CrossbarImpl::kWrr);
-  setenv("IBARB_CROSSBAR", "", 1);
-  EXPECT_EQ(crossbar_impl_from_env(), CrossbarImpl::kWrr);
-}
-
-TEST_F(CrossbarEnvTest, KnownValuesSelectTheScheduler) {
-  for (const char* name : {"wrr", "islip", "matrix", "abr"}) {
-    setenv("IBARB_CROSSBAR", name, 1);
-    EXPECT_EQ(crossbar_impl_from_env(), *parse_crossbar_impl(name));
-  }
-}
-
-TEST_F(CrossbarEnvTest, UnknownValueThrowsWithTheValidList) {
-  setenv("IBARB_CROSSBAR", "roundrobin", 1);
-  try {
-    (void)crossbar_impl_from_env();
-    FAIL() << "a typo'd scheduler must never fall back silently";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("roundrobin"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("wrr|islip|matrix|abr"),
-              std::string::npos);
-  }
-}
-
-TEST(CrossbarSelection, CliFlagRejectsUnknownAtParseTime) {
-  const char* argv[] = {"bench", "--crossbar", "fifo"};
-  const util::Cli cli(3, argv);
-  try {
-    (void)cli.std_flags();
-    FAIL() << "--crossbar fifo must be rejected before any run starts";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("fifo"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("wrr|islip|matrix|abr"),
-              std::string::npos);
-  }
-}
-
-TEST(CrossbarSelection, CliFlagAcceptsEveryKnownName) {
-  for (const char* name : {"wrr", "islip", "matrix", "abr"}) {
-    const char* argv[] = {"bench", "--crossbar", name};
-    const util::Cli cli(3, argv);
-    EXPECT_EQ(cli.std_flags().crossbar, name);
-  }
-  const char* bare[] = {"bench"};
-  EXPECT_TRUE(util::Cli(1, bare).std_flags().crossbar.empty());
-}
-
-TEST_F(CrossbarEnvTest, FlagBeatsEnvInPaperRunConfig) {
-  setenv("IBARB_CROSSBAR", "matrix", 1);
-  {
-    const char* argv[] = {"bench", "--crossbar", "islip"};
-    const util::Cli cli(3, argv);
-    const auto cfg = bench::config_from_cli(cli);
-    ASSERT_TRUE(cfg.crossbar.has_value());
-    EXPECT_EQ(*cfg.crossbar, CrossbarImpl::kIslip);
-  }
-  {
-    // No flag: config stays empty and the runner defers to the env.
-    const char* argv[] = {"bench"};
-    const util::Cli cli(1, argv);
-    EXPECT_FALSE(bench::config_from_cli(cli).crossbar.has_value());
-  }
-}
-
-TEST(CrossbarSelection, ConfigFromCliRejectsUnknown) {
-  const char* argv[] = {"bench", "--crossbar", "maxmin"};
-  const util::Cli cli(3, argv);
-  EXPECT_THROW((void)bench::config_from_cli(cli), std::invalid_argument);
 }
 
 }  // namespace

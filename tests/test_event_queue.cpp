@@ -65,6 +65,11 @@ TEST(EventQueue, SizeTracksContents) {
   EXPECT_EQ(q.size(), 2u);
   q.pop();
   EXPECT_EQ(q.size(), 1u);
+  // The peak is the most events ever pending at once: a dip keeps it.
+  q.push(at(3));
+  EXPECT_EQ(q.stats().peak_size, 2u);
+  q.push(at(1u << 20));  // beyond the wheel horizon, counted all the same
+  EXPECT_EQ(q.stats().peak_size, 3u);
 }
 
 TEST(EventQueue, TopDoesNotPop) {

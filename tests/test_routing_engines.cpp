@@ -198,21 +198,6 @@ TEST(RoutingRegistry, ListsAllEnginesAndRejectsUnknown) {
   }
 }
 
-TEST(RoutingRegistry, EnvSelectionAndRejection) {
-  unsetenv("IBARB_ROUTING");
-  EXPECT_EQ(routing_engine_from_env(), "updown");
-  setenv("IBARB_ROUTING", "fattree-dmodk", 1);
-  EXPECT_EQ(routing_engine_from_env(), "fattree-dmodk");
-  setenv("IBARB_ROUTING", "bogus", 1);
-  try {
-    routing_engine_from_env();
-    FAIL() << "unknown engine accepted from env";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("IBARB_ROUTING"), std::string::npos);
-  }
-  unsetenv("IBARB_ROUTING");
-}
-
 TEST(RoutingRegistry, StructureAwareEnginesRefuseHintlessGraphs) {
   IrregularSpec spec;
   spec.switches = 8;

@@ -8,19 +8,37 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <ostream>
 
+#include "fabric_cells.hpp"
 #include "sweep_runner.hpp"
 
 namespace ibarb::bench {
 namespace {
 
-/// Smallest fabric the generator supports, few packets: the point is
-/// scheduling coverage, not statistics.
-std::vector<PaperRunConfig> tiny_sweep() {
+/// One cell of the determinism matrix: a crossbar scheduler on a fabric,
+/// with the run length of each of its four runs.
+struct SweepCell {
+  const char* name;  ///< gtest parameter name.
+  sched::CrossbarImpl crossbar;
+  FabricCell fabric;
+  std::uint64_t packets = 2;
+  iba::Cycle warmup = 50'000;
+  friend std::ostream& operator<<(std::ostream& os, const SweepCell& c) {
+    return os << c.name;
+  }
+};
+
+/// Smallest fabric the generator supports (or the cell's own small one),
+/// few packets: the point is scheduling coverage, not statistics.
+std::vector<PaperRunConfig> tiny_sweep(const SweepCell& cell) {
   PaperRunConfig base;
+  base.crossbar = cell.crossbar;
+  cell.fabric.apply(base);
   base.switches = 2;
-  base.min_rx_packets = 5;
-  base.warmup = 100'000;
+  base.min_rx_packets = cell.packets;
+  base.warmup = cell.warmup;
   std::vector<PaperRunConfig> cfgs(4, base);
   cfgs[1].mtu = iba::Mtu::kMtu1024;
   cfgs[2].besteffort_load = 0.0;
@@ -28,12 +46,12 @@ std::vector<PaperRunConfig> tiny_sweep() {
   return cfgs;
 }
 
-SweepResult sweep_with_jobs(unsigned jobs) {
+SweepResult sweep_with_jobs(const SweepCell& cell, unsigned jobs) {
   SweepOptions opts;
   opts.jobs = jobs;
   opts.base_seed = 77;  // exercise the SplitMix64 per-run derivation too
   opts.timing = false;
-  return run_sweep(tiny_sweep(), opts);
+  return run_sweep(tiny_sweep(cell), opts);
 }
 
 void expect_bit_identical(const PaperRun& a, const PaperRun& b) {
@@ -73,9 +91,9 @@ void expect_bit_identical(const PaperRun& a, const PaperRun& b) {
   EXPECT_EQ(ta.switch_reserved_mbps, tb.switch_reserved_mbps);
 }
 
-TEST(SweepDeterminism, FourJobsMatchesSequentialBitForBit) {
-  const auto seq = sweep_with_jobs(1);
-  const auto par = sweep_with_jobs(4);
+void expect_four_jobs_match_sequential(const SweepCell& cell) {
+  const auto seq = sweep_with_jobs(cell, 1);
+  const auto par = sweep_with_jobs(cell, 4);
   ASSERT_EQ(seq.runs.size(), par.runs.size());
   EXPECT_EQ(seq.jobs, 1u);
   EXPECT_EQ(par.jobs, 4u);
@@ -87,6 +105,32 @@ TEST(SweepDeterminism, FourJobsMatchesSequentialBitForBit) {
     expect_bit_identical(*seq.runs[i], *par.runs[i]);
   }
 }
+
+TEST(SweepDeterminism, FourJobsMatchesSequentialBitForBit) {
+  // wrr on the paper's fabric, at the full tiny-sweep length;
+  // SweepCellTest covers the other cells with shorter runs.
+  expect_four_jobs_match_sequential(
+      {"wrr", sched::CrossbarImpl::kWrr, kFabricCells[0], 5, 100'000});
+}
+
+class SweepCellTest : public ::testing::TestWithParam<SweepCell> {};
+
+TEST_P(SweepCellTest, FourJobsMatchesSequentialBitForBit) {
+  expect_four_jobs_match_sequential(GetParam());
+}
+
+// The other three schedulers on the paper's fabric, then wrr on the
+// structured fabrics.
+INSTANTIATE_TEST_SUITE_P(
+    Cells, SweepCellTest,
+    ::testing::Values(
+        SweepCell{"islip", sched::CrossbarImpl::kIslip, kFabricCells[0]},
+        SweepCell{"matrix", sched::CrossbarImpl::kMatrix, kFabricCells[0]},
+        SweepCell{"abr", sched::CrossbarImpl::kAbr, kFabricCells[0]},
+        SweepCell{"torus3d", sched::CrossbarImpl::kWrr, kFabricCells[1]},
+        SweepCell{"dragonfly", sched::CrossbarImpl::kWrr, kFabricCells[2]},
+        SweepCell{"fattree", sched::CrossbarImpl::kWrr, kFabricCells[3]}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 TEST(SweepDeterminism, DerivedSeedsAreScheduleFreeAndDistinct) {
   // Pure function of (base, index)...
