@@ -360,18 +360,16 @@ int bench_main(const util::Cli& cli) {
     return 2;
   }
   bc.storm = scenario == "storm";
-  bc.spines = static_cast<unsigned>(cli.get_int("spines", 2));
-  bc.leaves = static_cast<unsigned>(cli.get_int("leaves", 4));
-  bc.hosts_per_leaf = static_cast<unsigned>(cli.get_int("hosts-per-leaf", 2));
-  bc.length = static_cast<iba::Cycle>(
-      cli.get_int("length", cli.get_bool("quick", false) ? 600'000
-                                                         : 1'500'000));
-  bc.tick = static_cast<iba::Cycle>(cli.get_int("tick", 10'000));
-  bc.snapshot_at =
-      static_cast<iba::Cycle>(cli.get_int("snapshot-at", 0));
+  bc.spines = cli.get_count<unsigned>("spines", 2, 1);
+  bc.leaves = cli.get_count<unsigned>("leaves", 4, 1);
+  bc.hosts_per_leaf = cli.get_count<unsigned>("hosts-per-leaf", 2, 1);
+  bc.length = cli.get_count<iba::Cycle>(
+      "length", cli.get_bool("quick", false) ? 600'000 : 1'500'000, 1);
+  bc.tick = cli.get_count<iba::Cycle>("tick", 10'000, 1);
+  bc.snapshot_at = cli.get_count<iba::Cycle>("snapshot-at", 0);
   bc.restore_check = !cli.get_bool("no-restore", false);
   bc.seed = sf.seed;
-  bc.runs = static_cast<unsigned>(cli.get_int("runs", 2));
+  bc.runs = cli.get_count<unsigned>("runs", 2, 1);
   bc.jobs = sf.jobs;
   bc.json = sf.json;
   bc.snapshot_out = cli.get("snapshot-out", "");

@@ -457,16 +457,15 @@ obs::Report make_report(const BenchConfig& bc,
 int bench_main(const util::Cli& cli) {
   const auto sf = cli.std_flags(1);
   BenchConfig bc;
-  bc.spines = static_cast<unsigned>(cli.get_int("spines", 2));
-  bc.leaves = static_cast<unsigned>(cli.get_int("leaves", 4));
-  bc.hosts_per_leaf = static_cast<unsigned>(cli.get_int("hosts-per-leaf", 2));
-  bc.length = static_cast<iba::Cycle>(
-      cli.get_int("length", cli.get_bool("quick", false) ? 1'200'000
-                                                         : 3'000'000));
+  bc.spines = cli.get_count<unsigned>("spines", 2, 1);
+  bc.leaves = cli.get_count<unsigned>("leaves", 4, 1);
+  bc.hosts_per_leaf = cli.get_count<unsigned>("hosts-per-leaf", 2, 1);
+  bc.length = cli.get_count<iba::Cycle>(
+      "length", cli.get_bool("quick", false) ? 1'200'000 : 3'000'000, 1);
   bc.seed = sf.seed;
-  bc.storm_seed = static_cast<std::uint64_t>(cli.get_int("storm-seed", 0));
+  bc.storm_seed = cli.get_count<std::uint64_t>("storm-seed", 0);
   bc.plan_spec = cli.get("fault-plan", "");
-  bc.runs = static_cast<unsigned>(cli.get_int("runs", 1));
+  bc.runs = cli.get_count<unsigned>("runs", 1, 1);
   bc.jobs = sf.jobs;
   bc.with_baseline = !cli.get_bool("no-baseline", false);
   bc.json = sf.json;

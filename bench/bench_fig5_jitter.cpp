@@ -62,8 +62,7 @@ void print_panel(const char* title,
 int bench_main(const util::Cli& cli) {
   const auto sf = cli.std_flags(21);
   const auto cfg = bench::config_from_cli(cli);
-  const auto replicas =
-      static_cast<std::size_t>(cli.get_int("replicas", 1));
+  const auto replicas = cli.get_count<std::size_t>("replicas", 1, 1);
 
   if (!sf.json) {
     std::cout << "=== Figure 5: average packet jitter (% of packets per "

@@ -23,15 +23,14 @@ using namespace ibarb;
 int bench_main(const util::Cli& cli) {
   const auto sf = cli.std_flags(1);
   arbtable::AcceptanceWorkload w;
-  w.requests =
-      static_cast<unsigned>(cli.get_int("requests", 5000));
+  w.requests = cli.get_count<unsigned>("requests", 5000, 1);
   w.departure_probability = cli.get_double("departures", 0.45);
   // Entry-limited regime: the whole link is reservable so rejections come
   // from table placement, the thing being ablated, not the bandwidth cap.
   w.reservable_fraction = cli.get_double("reservable", 1.0);
   w.min_mbps = cli.get_double("min-mbps", 4.0);
   w.max_mbps = cli.get_double("max-mbps", 32.0);
-  const unsigned seeds = static_cast<unsigned>(cli.get_int("seeds", 10));
+  const unsigned seeds = cli.get_count<unsigned>("seeds", 10, 1);
 
   if (!sf.json) {
     std::cout << "=== Fill-algorithm ablation: acceptance under churn ===\n";

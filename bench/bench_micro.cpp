@@ -460,20 +460,18 @@ SnapshotBenchResult measure_snapshot_roundtrip(std::uint64_t target) {
 int run_json_harness(const util::Cli& cli) {
   (void)cli.get_bool("json", true);  // consumed; routing happened in main()
   const std::string out_path = cli.get("out", "BENCH_micro.json");
-  const auto depth =
-      static_cast<std::size_t>(cli.get_int("queue-depth", 20000));
+  const auto depth = cli.get_count<std::size_t>("queue-depth", 20000, 1);
   const auto queue_events =
-      static_cast<std::uint64_t>(cli.get_int("queue-events", 2'000'000));
-  const auto queue_reps =
-      static_cast<unsigned>(cli.get_int("queue-reps", 3));
+      cli.get_count<std::uint64_t>("queue-events", 2'000'000, 1);
+  const auto queue_reps = cli.get_count<unsigned>("queue-reps", 3, 1);
   const auto arb_decisions =
-      static_cast<std::uint64_t>(cli.get_int("arb-decisions", 2'000'000));
-  const auto series_deliveries = static_cast<std::uint64_t>(
-      cli.get_int("series-deliveries", 2'000'000));
-  const auto snapshot_small = static_cast<std::uint64_t>(
-      cli.get_int("snapshot-small", 1'000));
-  const auto snapshot_large = static_cast<std::uint64_t>(
-      cli.get_int("snapshot-large", 100'000));
+      cli.get_count<std::uint64_t>("arb-decisions", 2'000'000, 1);
+  const auto series_deliveries =
+      cli.get_count<std::uint64_t>("series-deliveries", 2'000'000, 1);
+  const auto snapshot_small =
+      cli.get_count<std::uint64_t>("snapshot-small", 1'000, 1);
+  const auto snapshot_large =
+      cli.get_count<std::uint64_t>("snapshot-large", 100'000, 1);
   cli.warn_unused(std::cerr);
 
   std::cerr << "[bench_micro] queue replay (depth " << depth << ", "

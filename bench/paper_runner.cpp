@@ -66,12 +66,6 @@ const RunKnob kRunKnobs[] = {
          throw std::invalid_argument("");
        c.besteffort_load = v;
      }},
-    {"crossbar", "IBARB_CROSSBAR", sched::kCrossbarImplNames,
-     [](std::string_view t, PaperRunConfig& c) {
-       const auto impl = sched::parse_crossbar_impl(t);
-       if (!impl) throw std::invalid_argument("");
-       c.crossbar = *impl;
-     }},
     {"topo", "IBARB_TOPO", "FAMILY[:key=value,...]",
      [](std::string_view t, PaperRunConfig& c) {
        c.topo = network::TopologySpec::parse(t);
@@ -91,6 +85,7 @@ const char* knob_source_name(KnobSource source) noexcept {
     case KnobSource::kDefault: return "default";
     case KnobSource::kEnv: return "env";
     case KnobSource::kFlag: return "flag";
+    case KnobSource::kBench: return "bench";
   }
   return "?";
 }
@@ -123,8 +118,10 @@ PaperRunConfig config_from_cli(
   for (std::size_t i = 0; i < kRunKnobCount; ++i) {
     const RunKnob& knob = kRunKnobs[i];
     if (std::find(bench_set.begin(), bench_set.end(), knob.name) !=
-        bench_set.end())
+        bench_set.end()) {
+      base.source[i] = KnobSource::kBench;
       continue;
+    }
     std::string origin, text;
     if (cli.has(knob.name)) {
       origin = "--" + std::string(knob.name);
@@ -178,7 +175,6 @@ PaperRun::PaperRun(PaperRunConfig c) : cfg(c) {
   sc.max_payload_bytes = iba::mtu_bytes(cfg.mtu);
   sc.buffer_packets = cfg.buffer_packets;
   sc.seed = cfg.seed;
-  sc.crossbar_impl = cfg.crossbar;
   sc.trace_capacity = cfg.trace_capacity;
   sc.sample_every = cfg.sample_every;
   sc.profile = cfg.profile;

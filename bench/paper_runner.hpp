@@ -19,7 +19,6 @@
 #include "network/topology.hpp"
 #include "obs/series.hpp"
 #include "qos/admission.hpp"
-#include "sched/crossbar_impl.hpp"
 #include "subnet/subnet_manager.hpp"
 #include "traffic/workload.hpp"
 #include "util/cli.hpp"
@@ -27,7 +26,9 @@
 namespace ibarb::bench {
 
 /// Where a run-configuration knob's value came from; reports echo it.
-enum class KnobSource : std::uint8_t { kDefault, kEnv, kFlag };
+/// kBench marks a knob the bench sets itself (fig4's two MTUs,
+/// misbehavior's zero best-effort load), so no flag or env var was read.
+enum class KnobSource : std::uint8_t { kDefault, kEnv, kFlag, kBench };
 
 const char* knob_source_name(KnobSource source) noexcept;
 
@@ -56,8 +57,6 @@ struct PaperRunConfig {
   std::uint64_t sample_every = 0;
   /// Wall-clock self-profiler (--profile); profile.* telemetry only.
   bool profile = false;
-  /// Crossbar scheduler of every switch (docs/SCHEDULERS.md).
-  sched::CrossbarImpl crossbar = sched::CrossbarImpl::kWrr;
   /// Topology spec ("family:k=v,...", network/registry.hpp), holding only
   /// the parameters the user set, so that fabric() can tell them apart.
   network::TopologySpec topo = network::TopologySpec::parse("irregular");
@@ -94,7 +93,7 @@ const char* process_env(const char* name);
 /// std::invalid_argument naming the knob, where the value came from and
 /// the valid set. Knobs in `bench_set` are ones the bench sets itself for
 /// each run (fig4's two MTUs): they are not read, so a flag for one is
-/// reported by warn_unused, and their source stays `default`.
+/// reported by warn_unused, and their source is `bench`.
 PaperRunConfig config_from_cli(
     const util::Cli& cli, PaperRunConfig base = {},
     std::initializer_list<std::string_view> bench_set = {},

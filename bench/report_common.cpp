@@ -67,12 +67,24 @@ std::vector<obs::CounterTrack> series_tracks(const PaperRun& run) {
 }
 
 void echo_config(obs::Report& report, const PaperRunConfig& cfg) {
-  report.config("topo", cfg.fabric().canonical());
+  // The MTU and size a bench sets per run (fig4/table2/mtu_sweep, scaling)
+  // have no single value to echo; their `_source: "bench"` says so.
+  // misbehavior's bench-set best-effort load is the base value of every
+  // run, so it is echoed.
+  const auto by_run = [&cfg](std::string_view knob) {
+    return source_of(cfg, knob) == KnobSource::kBench;
+  };
+  // An irregular fabric's size is per run too: echo only its family.
+  const network::TopologySpec topo = cfg.fabric();
+  report.config("topo", by_run("switches") && topo.family() == "irregular"
+                            ? topo.family()
+                            : topo.canonical());
   report.config("routing", cfg.routing);
-  report.config("crossbar", sched::crossbar_impl_name(cfg.crossbar));
-  report.config("switches", static_cast<std::uint64_t>(cfg.switches));
-  report.config("mtu_bytes",
-                static_cast<std::uint64_t>(iba::mtu_bytes(cfg.mtu)));
+  if (!by_run("switches"))
+    report.config("switches", static_cast<std::uint64_t>(cfg.switches));
+  if (!by_run("mtu"))
+    report.config("mtu_bytes",
+                  static_cast<std::uint64_t>(iba::mtu_bytes(cfg.mtu)));
   report.config("seed", cfg.seed);
   report.config("min_rx_packets", cfg.min_rx_packets);
   report.config("warmup", static_cast<std::uint64_t>(cfg.warmup));

@@ -8,8 +8,8 @@
 //
 // Every family and every per-family key has a default, so "torus2d" alone
 // is a valid spec. Unknown families and unknown keys are rejected at parse
-// time (std::invalid_argument naming the valid set), mirroring the
-// `--crossbar` scheduler registry. Values are unsigned integers; `rate`
+// time (std::invalid_argument naming the valid set), like the `--routing`
+// registry (network/routing_engine.hpp). Values are unsigned integers; `rate`
 // takes the IBA link width (1, 4 or 12).
 #pragma once
 

@@ -1,5 +1,5 @@
 // String-keyed routing-engine registry (the `--routing` / IBARB_ROUTING
-// axis), mirroring the `--crossbar` scheduler registry in src/sched/.
+// axis), like the `--topo` registry (network/registry.hpp).
 //
 // An engine turns a FabricGraph into a Routes table. Three are registered:
 //

@@ -1,12 +1,11 @@
-// What every crossbar scheduler is written against: the CrossbarView
-// concept (one switch's port state during a matching round) and the
-// decision counters all four schedulers keep.
+// What the crossbar scheduler is written against: the CrossbarView concept
+// (one switch's port state during a matching round) and the decision
+// counters the scheduler keeps.
 //
-// Schedulers are member templates over the view, so a query such as
+// The scheduler is a member template over the view, so a query such as
 // input_ready() inlines into the concrete view — the simulator's final
 // XbarView, or the mock fabric in tests/test_crossbar.cpp — instead of
-// costing an indirect call per query. The one indirect jump per matching
-// round is the std::visit over sched::AnyCrossbar (sched/crossbar.hpp).
+// costing an indirect call per query.
 #pragma once
 
 #include <concepts>
@@ -21,18 +20,13 @@ namespace ibarb::sched {
 /// transfer, which immediately makes its input and output busy.
 ///
 ///   port_count()              crossbar ports of the switch
-///   now()                     current simulated time (ABR rate epochs)
 ///   input_ready(in)           wired, not transferring, holds a packet
 ///   input_occupancy(in)       bit v set when `in` holds a packet on VL v;
 ///                             meaningful only while input_ready(in)
 ///   head_output(in, vl)       output port the head of (in, vl) routes to
-///   head_bytes(in, vl)        wire size of the head of (in, vl)
 ///   output_free(out)          output is not receiving a transfer
 ///   output_accepts(in,vl,out) the output's queue, on the VL its SLtoVL
 ///                             table assigns the head, has room for it
-///   head_guaranteed(in,vl,out) the head is management (VL15) or maps onto
-///                             a VL of the output's high-priority table;
-///                             the ABR lane never throttles these
 ///   grant(in, vl, out)        starts the transfer: marks both ports busy
 ///                             and schedules its completion. The caller
 ///                             must have established eligibility
@@ -42,14 +36,11 @@ template <class V>
 concept CrossbarView = requires(V& v, const V& cv, iba::PortIndex port,
                                 iba::VirtualLane vl) {
   { cv.port_count() } -> std::convertible_to<unsigned>;
-  { cv.now() } -> std::convertible_to<iba::Cycle>;
   { cv.input_ready(port) } -> std::convertible_to<bool>;
   { cv.input_occupancy(port) } -> std::convertible_to<std::uint16_t>;
   { cv.head_output(port, vl) } -> std::convertible_to<iba::PortIndex>;
-  { cv.head_bytes(port, vl) } -> std::convertible_to<std::uint32_t>;
   { cv.output_free(port) } -> std::convertible_to<bool>;
   { cv.output_accepts(port, vl, port) } -> std::convertible_to<bool>;
-  { cv.head_guaranteed(port, vl, port) } -> std::convertible_to<bool>;
   v.grant(port, vl, port);
 };
 
@@ -59,24 +50,9 @@ concept CrossbarView = requires(V& v, const V& cv, iba::PortIndex port,
 struct CrossbarStats {
   std::uint64_t rounds = 0;          ///< schedule() calls.
   std::uint64_t grants = 0;          ///< Transfers started.
-  std::uint64_t iterations = 0;      ///< Matching iterations / scan passes.
+  std::uint64_t iterations = 0;      ///< Scan passes over the inputs.
   std::uint64_t blocked_output = 0;  ///< Head deferred: output busy.
   std::uint64_t blocked_space = 0;   ///< Head deferred: output VL full.
-  std::uint64_t throttled = 0;       ///< ABR lane: best-effort head deferred
-                                     ///< by the explicit-rate fair share.
-};
-
-/// The part every scheduler shares. Each scheduler adds
-///   template <CrossbarView V> void schedule(V& view, int only_input);
-/// where schedule() runs matching rounds until no further transfer can
-/// start. `only_input` >= 0 restricts the round to that input — the cheap
-/// trigger after a single arrival (one input feeds at most one transfer).
-class CrossbarBase {
- public:
-  const CrossbarStats& stats() const noexcept { return stats_; }
-
- protected:
-  CrossbarStats stats_;
 };
 
 }  // namespace ibarb::sched

@@ -4,6 +4,11 @@
 // sim::Simulator::schedule_crossbar / try_start_transfer; the grant sequence
 // — and therefore the event order of every simulation — is bit-identical to
 // the pre-refactor code (tests/golden/ + test_crossbar differential).
+//
+// It is the only crossbar scheduler. With the paper's 2x internal speedup the
+// output-port VL arbitration tables, not the crossbar, decide every
+// guarantee; iSLIP, matrix and ABR schedulers gave the same answer more
+// slowly and were removed (EXPERIMENTS.md, E13; docs/SCHEDULERS.md).
 #pragma once
 
 #include <vector>
@@ -12,10 +17,13 @@
 
 namespace ibarb::sched {
 
-class WrrCrossbar final : public CrossbarBase {
+class WrrCrossbar final {
  public:
   explicit WrrCrossbar(unsigned ports) : rr_vl_(ports, 0) {}
 
+  /// Runs matching rounds over `v` until no further transfer can start.
+  /// `only_input` >= 0 restricts the round to that input — the cheap
+  /// trigger after a single arrival (one input feeds at most one transfer).
   template <CrossbarView V>
   void schedule(V& v, int only_input) {
     ++stats_.rounds;
@@ -43,6 +51,8 @@ class WrrCrossbar final : public CrossbarBase {
       }
     }
   }
+
+  const CrossbarStats& stats() const noexcept { return stats_; }
 
  private:
   /// Tries to start one transfer from `in`; true when a grant was made.
@@ -75,6 +85,8 @@ class WrrCrossbar final : public CrossbarBase {
     }
     return false;
   }
+
+  CrossbarStats stats_;
 
   unsigned rr_input_ = 0;  ///< Rotating priority across input ports.
   std::vector<iba::VirtualLane> rr_vl_;  ///< Per-input VL round-robin.

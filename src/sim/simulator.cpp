@@ -35,8 +35,6 @@ class XbarView final {
     return static_cast<unsigned>(sw_.in.size());
   }
 
-  iba::Cycle now() const { return sim_.now_; }
-
   bool input_ready(iba::PortIndex in) const {
     const InputPort& ip = sw_.in[in];
     return ip.wired && !ip.xbar_tx_busy && !ip.buffers.all_empty();
@@ -50,10 +48,6 @@ class XbarView final {
     return sim_.route_port(sw_, sw_.in[in].buffers.front(vl).destination);
   }
 
-  std::uint32_t head_bytes(iba::PortIndex in, iba::VirtualLane vl) const {
-    return sw_.in[in].buffers.front(vl).wire_bytes();
-  }
-
   bool output_free(iba::PortIndex out) const {
     return !out_[out].xbar_rx_busy;
   }
@@ -65,15 +59,6 @@ class XbarView final {
     const iba::VirtualLane out_vl =
         head.management ? iba::kManagementVl : op.sl_map.map(head.sl);
     return op.queues.can_accept(out_vl, head.wire_bytes());
-  }
-
-  bool head_guaranteed(iba::PortIndex in, iba::VirtualLane vl,
-                       iba::PortIndex out) const {
-    const iba::Packet& head = sw_.in[in].buffers.front(vl);
-    if (head.management) return true;
-    const OutputPort& op = out_[out];
-    const iba::VirtualLane out_vl = op.sl_map.map(head.sl);
-    return (op.arbiter.table().vl_mask_high() >> out_vl) & 1u;
   }
 
   void grant(iba::PortIndex in, iba::VirtualLane vl, iba::PortIndex out) {
@@ -163,7 +148,7 @@ Simulator::Simulator(const network::FabricGraph& graph,
     }
     if (is_switch) {
       switches_.push_back(std::move(sw));
-      xbar_.push_back(sched::make_crossbar(cfg_.crossbar_impl, ports));
+      xbar_.emplace_back(ports);
     }
   }
 
@@ -241,20 +226,18 @@ Simulator::Simulator(const network::FabricGraph& graph,
 
     sched::CrossbarStats xs;
     for (const auto& x : xbar_) {
-      const sched::CrossbarStats& s = sched::stats(x);
+      const sched::CrossbarStats& s = x.stats();
       xs.rounds += s.rounds;
       xs.grants += s.grants;
       xs.iterations += s.iterations;
       xs.blocked_output += s.blocked_output;
       xs.blocked_space += s.blocked_space;
-      xs.throttled += s.throttled;
     }
     snap.add_counter("xbar.rounds", xs.rounds);
     snap.add_counter("xbar.grants", xs.grants);
     snap.add_counter("xbar.iterations", xs.iterations);
     snap.add_counter("xbar.blocked_output", xs.blocked_output);
     snap.add_counter("xbar.blocked_space", xs.blocked_space);
-    snap.add_counter("xbar.throttled", xs.throttled);
   });
 
   if (cfg_.sample_every > 0) {
@@ -625,7 +608,7 @@ void Simulator::on_xfer_complete(const Event& e) {
 
 void Simulator::schedule_crossbar(std::uint32_t switch_index, int only_input) {
   XbarView view(*this, switch_index);
-  sched::schedule(xbar_[switch_index], view, only_input);
+  xbar_[switch_index].schedule(view, only_input);
 }
 
 void Simulator::handle(const Event& e) {

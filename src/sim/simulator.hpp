@@ -18,7 +18,7 @@
 #include "obs/profile.hpp"
 #include "obs/series.hpp"
 #include "obs/telemetry.hpp"
-#include "sched/crossbar.hpp"
+#include "sched/wrr_crossbar.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/host.hpp"
 #include "sim/metrics.hpp"
@@ -50,9 +50,6 @@ struct SimConfig {
   /// excluded from series sampling and from every byte-compare in CI.
   bool profile = false;
   std::uint64_t seed = 1;
-  /// Crossbar matching policy. kWrr reproduces the pre-refactor grant
-  /// sequence — and so the whole event order — bit-for-bit.
-  sched::CrossbarImpl crossbar_impl = sched::CrossbarImpl::kWrr;
 };
 
 struct RunSummary {
@@ -250,7 +247,7 @@ class Simulator {
   void on_xfer_complete(const Event& e);
 
   void try_transmit(iba::NodeId node, iba::PortIndex port);
-  /// Runs the switch's crossbar scheduler (sched::AnyCrossbar) over an
+  /// Runs the switch's crossbar scheduler (sched::WrrCrossbar) over an
   /// XbarView of the ports. `only_input` >= 0 is the cheap single-arrival
   /// trigger hint.
   void schedule_crossbar(std::uint32_t switch_index, int only_input);
@@ -301,9 +298,9 @@ class Simulator {
   static constexpr std::uint32_t kNotSwitch = 0xFFFFFFFF;
   std::vector<std::uint32_t> index_;
   std::vector<SwitchState> switches_;
-  /// One crossbar scheduler per switch (same index as switches_); owns all
-  /// matching state — pointers, priority matrices, rate counters.
-  std::vector<sched::AnyCrossbar> xbar_;
+  /// One crossbar scheduler per switch (same index as switches_); owns its
+  /// round-robin pointers.
+  std::vector<sched::WrrCrossbar> xbar_;
 
   /// Flat port tables, indexed by slot(node, port) = port_base_[node] +
   /// port: every node's ports in node-id order, one port for a host.

@@ -63,9 +63,9 @@ struct InputPort {
   bool xbar_tx_busy = false;        ///< Feeding the crossbar.
 };
 
-/// Which (input, VL, output) transfer starts next — and every round-robin /
-/// priority pointer that decision needs — lives in the switch's
-/// sched::AnyCrossbar, not here (see src/sched/crossbar.hpp). The output
+/// Which (input, VL, output) transfer starts next — and the round-robin
+/// pointers that decision needs — lives in the switch's sched::WrrCrossbar,
+/// not here (see src/sched/wrr_crossbar.hpp). The output
 /// sides live in the simulator's flat port table (Simulator::output_port).
 struct SwitchState {
   iba::NodeId node = iba::kInvalidNode;

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 
 #include "util/thread_pool.hpp"
@@ -92,6 +93,26 @@ double Cli::get_double(std::string_view name, double default_value) const {
   }
 }
 
+std::uint64_t Cli::count_in(std::string_view name,
+                            std::uint64_t default_value, std::uint64_t min,
+                            std::uint64_t max) const {
+  queried_[std::string(name)] = true;
+  const auto it = values_.find(name);
+  if (it == values_.end()) return default_value;
+  std::uint64_t out = 0;
+  const auto& s = it->second;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+  if (ec != std::errc{} || ptr != s.data() + s.size() || out < min ||
+      out > max) {
+    std::string want = "an integer >= " + std::to_string(min);
+    if (max != std::numeric_limits<std::uint64_t>::max())
+      want += " and <= " + std::to_string(max);
+    throw std::invalid_argument("flag --" + std::string(name) + " expects " +
+                                want + ", got '" + s + "'");
+  }
+  return out;
+}
+
 bool Cli::get_bool(std::string_view name, bool default_value) const {
   queried_[std::string(name)] = true;
   const auto it = values_.find(name);
@@ -100,33 +121,18 @@ bool Cli::get_bool(std::string_view name, bool default_value) const {
 }
 
 unsigned Cli::jobs() const {
-  const auto n = get_int("jobs", 0);
-  if (n < 0) {
-    throw std::invalid_argument("flag --jobs expects a count >= 0, got " +
-                                std::to_string(n));
-  }
-  return n == 0 ? default_jobs() : static_cast<unsigned>(n);
+  const auto n = get_count<unsigned>("jobs", 0);
+  return n == 0 ? default_jobs() : n;
 }
 
 StdFlags Cli::std_flags(std::uint64_t default_seed) const {
   StdFlags f;
   f.jobs = jobs();
   f.json = get_bool("json", false);
-  const auto seed = get_int("seed", static_cast<std::int64_t>(default_seed));
-  if (seed < 0) {
-    throw std::invalid_argument("flag --seed expects a value >= 0, got " +
-                                std::to_string(seed));
-  }
-  f.seed = static_cast<std::uint64_t>(seed);
+  f.seed = get_count("seed", default_seed);
   f.trace_out = get("trace-out", "");
   require_writable_parent("trace-out", f.trace_out);
-  const auto sample = get_int("sample-every", 0);
-  if (sample < 0) {
-    throw std::invalid_argument(
-        "flag --sample-every expects a cycle count >= 0, got " +
-        std::to_string(sample));
-  }
-  f.sample_every = static_cast<std::uint64_t>(sample);
+  f.sample_every = get_count<std::uint64_t>("sample-every", 0);
   f.series_csv = get("series-csv", "");
   require_writable_parent("series-csv", f.series_csv);
   f.profile = get_bool("profile", false);

@@ -4,9 +4,11 @@
 // Deliberately tiny: the binaries only need a handful of numeric knobs.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -28,7 +30,7 @@ namespace ibarb::util {
 ///
 /// Output-path flags (--trace-out, --series-csv) are validated up front: a
 /// typo must fail at parse time instead of after the full run. The knobs of
-/// a simulated experiment (--crossbar, --topo, --mtu, ...) are not in this
+/// a simulated experiment (--topo, --routing, --mtu, ...) are not in this
 /// block: the paper benches resolve them in one table
 /// (bench/paper_runner.hpp), and any other binary that is given one reports
 /// it through warn_unused.
@@ -55,6 +57,16 @@ class Cli {
   double get_double(std::string_view name, double default_value) const;
   bool get_bool(std::string_view name, bool default_value) const;
 
+  /// `--name N` as a count >= `min` that fits T, or `default_value` when
+  /// the flag is absent. Anything else (a sign, a fraction, a value out of
+  /// range) throws std::invalid_argument naming the flag and its value, so
+  /// a negative count can never wrap to ~4 billion.
+  template <std::unsigned_integral T>
+  T get_count(std::string_view name, T default_value, T min = 0) const {
+    return static_cast<T>(count_in(name, default_value, min,
+                                   std::numeric_limits<T>::max()));
+  }
+
   /// Worker count from `--jobs N`, clamped to >= 1. The default (also used
   /// for `--jobs 0`) is the hardware concurrency, so sweeps use the whole
   /// machine unless told otherwise; `--jobs 1` forces the sequential path.
@@ -71,6 +83,9 @@ class Cli {
   void warn_unused(std::ostream& err) const;
 
  private:
+  std::uint64_t count_in(std::string_view name, std::uint64_t default_value,
+                         std::uint64_t min, std::uint64_t max) const;
+
   std::map<std::string, std::string, std::less<>> values_;
   mutable std::map<std::string, bool, std::less<>> queried_;
 };

@@ -4,8 +4,10 @@
 
 #include "util/thread_pool.hpp"
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ibarb::util {
@@ -68,6 +70,32 @@ TEST(Cli, UnusedFlagsReported) {
   const auto cli = make({"--used", "1", "--typo", "2"});
   (void)cli.get_int("used", 0);
   EXPECT_EQ(cli.unused_flags(), "--typo");
+}
+
+TEST(Cli, CountsParseOrFailNamingFlagAndValue) {
+  const auto cli = make({"--runs", "3", "--big", "4294967296", "--neg", "-1",
+                         "--frac", "2.5", "--zero", "0", "--wide",
+                         "4294967296"});
+  EXPECT_EQ(cli.get_count<unsigned>("runs", 1, 1), 3u);
+  EXPECT_EQ(cli.get_count<unsigned>("absent", 7, 1), 7u);
+  EXPECT_EQ(cli.get_count<std::uint64_t>("wide", 0), 4294967296u);
+  EXPECT_EQ(cli.get_count<unsigned>("zero", 5), 0u);
+  // A negative count never wraps, a count never narrows, and a value below
+  // the minimum is refused; each message names the flag and its value.
+  const std::pair<const char*, const char*> bad[] = {
+      {"neg", "'-1'"}, {"big", "'4294967296'"}, {"frac", "'2.5'"},
+      {"zero", ">= 1"}};
+  for (const auto& [flag, said] : bad) {
+    try {
+      (void)cli.get_count<unsigned>(flag, 1, 1);
+      ADD_FAILURE() << "--" << flag << " accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(std::string("--") + flag), std::string::npos) << msg;
+      EXPECT_NE(msg.find(said), std::string::npos) << msg;
+    }
+  }
+  EXPECT_EQ(cli.unused_flags(), "");
 }
 
 TEST(Cli, JobsParsesExplicitCount) {
@@ -143,11 +171,11 @@ TEST(Cli, StdFlagsRejectsMissingOutputParents) {
 TEST(Cli, StdFlagsMarksBlockAsQueried) {
   // std_flags must consume the whole standard block so warn_unused only
   // fires on flags nothing read: typos, and run-configuration knobs
-  // (--crossbar) given to a binary that never runs a paper experiment.
+  // (--topo) given to a binary that never runs a paper experiment.
   const auto cli = make({"--json", "--trace-out=t.json", "--oops", "1",
-                         "--crossbar", "islip"});
+                         "--topo", "single"});
   (void)cli.std_flags();
-  EXPECT_EQ(cli.unused_flags(), "--crossbar, --oops");
+  EXPECT_EQ(cli.unused_flags(), "--oops, --topo");
 }
 
 TEST(Cli, StdFlagsLeavesRemovedShardFlagUnused) {

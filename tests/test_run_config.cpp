@@ -38,23 +38,16 @@ TEST(RunConfigTable, FlagBeatsEnvBeatsDefault) {
     std::vector<const char*> args;
     Env env;
     std::string_view knob;
-    std::string want;  ///< crossbar name, canonical spec or engine name.
+    std::string want;  ///< Canonical spec or engine name.
     KnobSource source;
   };
   const auto spec = [](const char* s) {
     return network::TopologySpec::parse(s).canonical();
   };
   const Case cases[] = {
-      {{}, {}, "crossbar", "wrr", KnobSource::kDefault},
-      {{}, {{"IBARB_CROSSBAR", ""}}, "crossbar", "wrr", KnobSource::kDefault},
-      {{}, {{"IBARB_CROSSBAR", "matrix"}}, "crossbar", "matrix",
-       KnobSource::kEnv},
-      {{"--crossbar", "islip"}, {{"IBARB_CROSSBAR", "matrix"}}, "crossbar",
-       "islip", KnobSource::kFlag},
-      // A flag wins without the env value being looked at.
-      {{"--crossbar=abr"}, {{"IBARB_CROSSBAR", "bogus"}}, "crossbar", "abr",
-       KnobSource::kFlag},
       {{}, {}, "topo", spec("irregular"), KnobSource::kDefault},
+      {{}, {{"IBARB_TOPO", ""}}, "topo", spec("irregular"),
+       KnobSource::kDefault},
       {{}, {{"IBARB_TOPO", "torus3d:x=3,y=3,z=3"}}, "topo",
        spec("torus3d:x=3,y=3,z=3"), KnobSource::kEnv},
       {{"--topo", "fattree:k=4,n=2"}, {{"IBARB_TOPO", "torus3d:x=3,y=3,z=3"}},
@@ -64,14 +57,15 @@ TEST(RunConfigTable, FlagBeatsEnvBeatsDefault) {
        "minimal-vl-escape", KnobSource::kEnv},
       {{"--routing", "fattree-dmodk"}, {{"IBARB_ROUTING", "minimal-vl-escape"}},
        "routing", "fattree-dmodk", KnobSource::kFlag},
+      // A flag wins without the env value being looked at.
+      {{"--routing=updown"}, {{"IBARB_ROUTING", "bogus"}}, "routing",
+       "updown", KnobSource::kFlag},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE("case " + std::to_string(&c - cases));
     const auto cfg = resolve(c.args, c.env);
     const std::string got =
-        c.knob == "crossbar" ? sched::crossbar_impl_name(cfg.crossbar)
-        : c.knob == "topo"   ? cfg.topo.canonical()
-                             : cfg.routing;
+        c.knob == "topo" ? cfg.topo.canonical() : cfg.routing;
     EXPECT_EQ(got, c.want);
     EXPECT_EQ(source_of(cfg, c.knob), c.source);
   }
@@ -90,14 +84,17 @@ TEST(RunConfigTable, FlagBeatsEnvBeatsDefault) {
        {"switches", "mtu", "seed", "packets", "besteffort-load"})
     EXPECT_EQ(source_of(cfg, k), KnobSource::kFlag) << k;
   EXPECT_EQ(source_of(cfg, "warmup"), KnobSource::kDefault);
-  EXPECT_EQ(source_of(PaperRunConfig{}, "crossbar"), KnobSource::kDefault);
+  EXPECT_EQ(source_of(PaperRunConfig{}, "topo"), KnobSource::kDefault);
   EXPECT_THROW((void)source_of(cfg, "jobs"), std::invalid_argument);
 
-  // A knob the bench sets itself per run is not read: its flag stays unused.
+  // A knob the bench sets itself per run is not read: its flag stays unused
+  // and its source is `bench`.
   const char* argv[] = {"bench", "--mtu", "1024"};
   const util::Cli cli(3, argv);
   const auto no_env = [](const char*) -> const char* { return nullptr; };
-  EXPECT_EQ(config_from_cli(cli, {}, {"mtu"}, no_env).mtu, iba::Mtu::kMtu256);
+  const auto by_bench = config_from_cli(cli, {}, {"mtu"}, no_env);
+  EXPECT_EQ(by_bench.mtu, iba::Mtu::kMtu256);
+  EXPECT_EQ(source_of(by_bench, "mtu"), KnobSource::kBench);
   EXPECT_EQ(cli.unused_flags(), "--mtu");
 }
 
@@ -107,13 +104,9 @@ TEST(RunConfigTable, RejectsBadValuesNamingKnobOriginAndValidSet) {
     Env env;
     std::vector<const char*> said;  ///< Substrings the message must hold.
   };
-  const char* xbars = "wrr|islip|matrix|abr";
   const char* families = "irregular|single|line";
   const char* engines = "updown|minimal-vl-escape|fattree-dmodk";
   const Case cases[] = {
-      {{"--crossbar", "fifo"}, {}, {"crossbar: --crossbar 'fifo'", xbars}},
-      {{}, {{"IBARB_CROSSBAR", "fifo"}},
-       {"crossbar: IBARB_CROSSBAR 'fifo'", xbars}},
       {{"--topo", "hypercube"}, {}, {"topo: --topo 'hypercube'", families}},
       {{}, {{"IBARB_TOPO", "hypercube"}},
        {"topo: IBARB_TOPO 'hypercube'", families}},
@@ -150,34 +143,67 @@ TEST(RunConfigTable, RejectsBadValuesNamingKnobOriginAndValidSet) {
   }
 }
 
-TEST(CrossbarSelection, CliFlagAcceptsEveryKnownName) {
-  for (const char* name : {"wrr", "islip", "matrix", "abr"})
-    EXPECT_EQ(resolve({"--crossbar", name}).crossbar,
-              *sched::parse_crossbar_impl(name));
-}
-
-TEST(CrossbarSelection, CliFlagRejectsUnknownAtParseTime) {
-  EXPECT_THROW((void)resolve({"--crossbar", "fifo"}), std::invalid_argument);
-}
-
-TEST(CrossbarSelection, ConfigFromCliRejectsUnknown) {
-  EXPECT_THROW((void)resolve({"--crossbar", "maxmin"}), std::invalid_argument);
+/// The config block echo_config writes for `cfg`.
+std::string echoed(const PaperRunConfig& cfg) {
+  obs::Report report("run_config");
+  echo_config(report, cfg);
+  std::ostringstream os;
+  report.write(os);
+  return os.str();
 }
 
 TEST(RunConfigTable, ReportEchoesResolvedCrossbarAndEverySource) {
-  obs::Report report("run_config");
-  echo_config(report, resolve({"--crossbar", "islip", "--switches", "8"},
-                              {{"IBARB_ROUTING", "updown"}}));
-  std::ostringstream os;
-  report.write(os);
-  const std::string json = os.str();
+  std::string json = echoed(resolve({"--routing", "minimal-vl-escape",
+                                     "--switches", "8"},
+                                    {{"IBARB_TOPO", "irregular:seed=5"}}));
   for (const char* kv :
-       {"\"crossbar\":\"islip\"", "\"crossbar_source\":\"flag\"",
-        "\"switches_source\":\"flag\"", "\"routing_source\":\"env\"",
-        "\"topo_source\":\"default\"", "\"topo\":\"irregular:switches=8,",
-        "\"mtu_source\":", "\"seed_source\":", "\"packets_source\":",
-        "\"warmup_source\":", "\"besteffort_load_source\":"})
+       {"\"routing\":\"minimal-vl-escape\"", "\"routing_source\":\"flag\"",
+        "\"switches_source\":\"flag\"", "\"topo_source\":\"env\"",
+        "\"topo\":\"irregular:switches=8,", "\"mtu_bytes\":256",
+        "\"mtu_source\":\"default\"", "\"seed_source\":",
+        "\"packets_source\":", "\"warmup_source\":",
+        "\"besteffort_load_source\":"})
     EXPECT_NE(json.find(kv), std::string::npos) << kv << " in " << json;
+  EXPECT_EQ(json.find("crossbar"), std::string::npos) << json;
+
+  // A knob the bench sets per run echoes its source as `bench` and no
+  // value: the base config's would name no run (fig4 runs 256 B and 4 KB).
+  // A bench-set best-effort load is the value of every run and is echoed.
+  const char* argv[] = {"bench", "--json"};
+  const util::Cli cli(2, argv);
+  const auto no_env = [](const char*) -> const char* { return nullptr; };
+  json = echoed(config_from_cli(cli, {}, {"mtu", "besteffort-load"}, no_env));
+  EXPECT_NE(json.find("\"mtu_source\":\"bench\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"mtu_bytes\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"switches\":16"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"besteffort_load_source\":\"bench\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"besteffort_load\":0.1"), std::string::npos) << json;
+
+  // Scaling sets the size of the paper's fabric per run: neither the
+  // switch count nor a sized topology spec is echoed.
+  json = echoed(config_from_cli(cli, {}, {"switches"}, no_env));
+  EXPECT_NE(json.find("\"switches_source\":\"bench\""), std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("\"switches\":"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"topo\":\"irregular\""), std::string::npos) << json;
+}
+
+TEST(RunConfigTable, LeavesRemovedCrossbarFlagUnused) {
+  // wrr is the only crossbar scheduler (EXPERIMENTS.md, E13), so the knob
+  // that chose one is gone: a leftover flag is reported like any typo, and
+  // no environment variable but the topology's and routing's is read,
+  // whatever the others hold.
+  const char* argv[] = {"bench", "--crossbar", "islip"};
+  const util::Cli cli(3, argv);
+  const auto cfg = config_from_cli(
+      cli, {}, {}, [](const char* name) -> const char* {
+        const std::string_view n(name);
+        return n == "IBARB_TOPO" || n == "IBARB_ROUTING" ? nullptr : "bogus";
+      });
+  EXPECT_EQ(cli.unused_flags(), "--crossbar");
+  EXPECT_THROW((void)source_of(cfg, "crossbar"), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -212,10 +238,10 @@ class ScopedEnv {
   void unset() const { unsetenv(name_); }
 
  private:
-  static constexpr std::array<const char*, 3> kVars = {
-      "IBARB_CROSSBAR", "IBARB_TOPO", "IBARB_ROUTING"};
+  static constexpr std::array<const char*, 2> kVars = {"IBARB_TOPO",
+                                                      "IBARB_ROUTING"};
   const char* name_;
-  std::array<std::optional<std::string>, 3> saved_;
+  std::array<std::optional<std::string>, 2> saved_;
 };
 
 PaperRunConfig resolve_process(std::vector<const char*> args) {
@@ -234,49 +260,6 @@ std::string rejection(std::vector<const char*> args) {
     return e.what();
   }
   return {};
-}
-
-class CrossbarEnvTest : public ::testing::Test {
- protected:
-  ScopedEnv env_{"IBARB_CROSSBAR"};
-};
-
-TEST_F(CrossbarEnvTest, UnsetAndEmptyMeanWrr) {
-  env_.unset();
-  auto cfg = resolve_process({});
-  EXPECT_EQ(cfg.crossbar, sched::CrossbarImpl::kWrr);
-  EXPECT_EQ(source_of(cfg, "crossbar"), KnobSource::kDefault);
-  env_.set("");
-  cfg = resolve_process({});
-  EXPECT_EQ(cfg.crossbar, sched::CrossbarImpl::kWrr);
-  EXPECT_EQ(source_of(cfg, "crossbar"), KnobSource::kDefault);
-}
-
-TEST_F(CrossbarEnvTest, KnownValuesSelectTheScheduler) {
-  for (const char* name : {"wrr", "islip", "matrix", "abr"}) {
-    env_.set(name);
-    const auto cfg = resolve_process({});
-    EXPECT_EQ(cfg.crossbar, *sched::parse_crossbar_impl(name)) << name;
-    EXPECT_EQ(source_of(cfg, "crossbar"), KnobSource::kEnv) << name;
-  }
-}
-
-TEST_F(CrossbarEnvTest, UnknownValueThrowsWithTheValidList) {
-  // A typo'd scheduler must never fall back silently.
-  env_.set("roundrobin");
-  const std::string msg = rejection({});
-  EXPECT_NE(msg.find("IBARB_CROSSBAR 'roundrobin'"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("wrr|islip|matrix|abr"), std::string::npos) << msg;
-}
-
-TEST_F(CrossbarEnvTest, FlagBeatsEnvInPaperRunConfig) {
-  env_.set("matrix");
-  auto cfg = resolve_process({"--crossbar", "islip"});
-  EXPECT_EQ(cfg.crossbar, sched::CrossbarImpl::kIslip);
-  EXPECT_EQ(source_of(cfg, "crossbar"), KnobSource::kFlag);
-  cfg = resolve_process({});
-  EXPECT_EQ(cfg.crossbar, sched::CrossbarImpl::kMatrix);
-  EXPECT_EQ(source_of(cfg, "crossbar"), KnobSource::kEnv);
 }
 
 TEST(TopologySpec, EnvReaderFallsBackAndRejects) {

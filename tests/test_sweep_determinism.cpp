@@ -17,11 +17,10 @@
 namespace ibarb::bench {
 namespace {
 
-/// One cell of the determinism matrix: a crossbar scheduler on a fabric,
-/// with the run length of each of its four runs.
+/// One cell of the determinism matrix: a fabric, with the run length of
+/// each of its four runs.
 struct SweepCell {
   const char* name;  ///< gtest parameter name.
-  sched::CrossbarImpl crossbar;
   FabricCell fabric;
   std::uint64_t packets = 2;
   iba::Cycle warmup = 50'000;
@@ -34,7 +33,6 @@ struct SweepCell {
 /// few packets: the point is scheduling coverage, not statistics.
 std::vector<PaperRunConfig> tiny_sweep(const SweepCell& cell) {
   PaperRunConfig base;
-  base.crossbar = cell.crossbar;
   cell.fabric.apply(base);
   base.switches = 2;
   base.min_rx_packets = cell.packets;
@@ -107,10 +105,9 @@ void expect_four_jobs_match_sequential(const SweepCell& cell) {
 }
 
 TEST(SweepDeterminism, FourJobsMatchesSequentialBitForBit) {
-  // wrr on the paper's fabric, at the full tiny-sweep length;
-  // SweepCellTest covers the other cells with shorter runs.
-  expect_four_jobs_match_sequential(
-      {"wrr", sched::CrossbarImpl::kWrr, kFabricCells[0], 5, 100'000});
+  // The paper's fabric, at the full tiny-sweep length; SweepCellTest covers
+  // the structured fabrics with shorter runs.
+  expect_four_jobs_match_sequential({"wrr", kFabricCells[0], 5, 100'000});
 }
 
 class SweepCellTest : public ::testing::TestWithParam<SweepCell> {};
@@ -119,17 +116,12 @@ TEST_P(SweepCellTest, FourJobsMatchesSequentialBitForBit) {
   expect_four_jobs_match_sequential(GetParam());
 }
 
-// The other three schedulers on the paper's fabric, then wrr on the
-// structured fabrics.
+// The structured fabrics, each on its structure-aware routing engine.
 INSTANTIATE_TEST_SUITE_P(
     Cells, SweepCellTest,
-    ::testing::Values(
-        SweepCell{"islip", sched::CrossbarImpl::kIslip, kFabricCells[0]},
-        SweepCell{"matrix", sched::CrossbarImpl::kMatrix, kFabricCells[0]},
-        SweepCell{"abr", sched::CrossbarImpl::kAbr, kFabricCells[0]},
-        SweepCell{"torus3d", sched::CrossbarImpl::kWrr, kFabricCells[1]},
-        SweepCell{"dragonfly", sched::CrossbarImpl::kWrr, kFabricCells[2]},
-        SweepCell{"fattree", sched::CrossbarImpl::kWrr, kFabricCells[3]}),
+    ::testing::Values(SweepCell{"torus3d", kFabricCells[1]},
+                      SweepCell{"dragonfly", kFabricCells[2]},
+                      SweepCell{"fattree", kFabricCells[3]}),
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST(SweepDeterminism, DerivedSeedsAreScheduleFreeAndDistinct) {
